@@ -1,8 +1,10 @@
 """Shared substrate for the three set-construction engines.
 
-A condition is a pair (finite committed set, reservoir window).  Reservoirs
-live inside a coded model as derived-index rows; conditions additionally
-cache the member list so transcripts and audits can work without the model.
+A condition is a pair (finite committed set, reservoir).  A reservoir is
+a plain sorted tuple of members of the run's window [0, window_bound); side
+selection runs on the window's bit tuple.  `I` numbers the reservoirs a run
+has installed: 0 for the initial window, one more at every step that
+installs a new reservoir.
 
 "Infinite" always means: the window density witness meets a configured
 count beyond the committed maximum.  Every acceptance of that surrogate is
@@ -11,13 +13,12 @@ recorded so an audit can demand more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..machine import HALTED, OracleWindow, decode_program, run_program, OP_QRY
 from ..approx import Coloring, ColorLimit, stable_color_limit
-
-DENSITY_MIN = 8  # reservoir elements required beyond max F
+from ..omega_model import select_part
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -30,8 +31,8 @@ SKIP = "skip"
 @dataclass(frozen=True)
 class CohCondition:
     F: Tuple[int, ...]
-    I: int  # model index of the reservoir row
-    reservoir: Tuple[int, ...]  # cached member list of that row's window
+    I: int  # number of reservoirs installed before this one in the run
+    reservoir: Tuple[int, ...]  # sorted members inside the window
     window_bound: int
 
     def valid(self) -> bool:
@@ -219,6 +220,25 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
         if w is not None:
             return w, record
     return None, record
+
+
+def restrict_to_piece(reservoir, window: int, partition):
+    """Case 2 of EM and D2: no piece of `partition` is extendable, so keep
+    the piece that side selection finds infinite inside the reservoir.
+
+    Returns (the piece ∩ reservoir, or None when the reservoir is empty and
+    there is nothing to select from; the certificate).
+    """
+    cert = {"partition": [list(p) for p in partition],
+            "reservoir_at_decision": list(reservoir)}
+    if not reservoir:
+        return None, cert
+    pos, kept, outcomes = select_part(
+        OracleWindow.from_set(reservoir, window).bits,
+        [OracleWindow.from_set(p, window).bits for p in partition])
+    cert["selected_part"] = pos
+    cert["selection"] = [asdict(o) for o in outcomes]
+    return OracleWindow(kept).members(), cert
 
 
 def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:

@@ -1,6 +1,6 @@
 """Cohesive-set construction by reservoir forcing.
 
-Conditions are pairs (F, I).  The requirement stream interleaves three
+Conditions are pairs (F, reservoir).  The requirement stream interleaves three
 families: D_n (confine the reservoir to one side of the n-th set), E_n
 (grow F to size n), R_e/N_e (decide self-halting of program e relative to
 the committed set).  Scheduling is round-robin D, E, R in increasing index
@@ -13,24 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..approx import SetPresentation
 from ..machine import OracleWindow
-from ..omega_model import (
-    CodedModelApprox,
-    INTERSECT_SIDE,
-    build_model,
-    derived_index,
-    pi2_select,
-)
+from ..omega_model import INTERSECT_SIDE, select_side
 from .base import (
     ABORT,
     CASE1,
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
+    SKIP,
     CohCondition,
     StageRecord,
     Transcript,
@@ -44,7 +39,6 @@ class CohConfig:
     window: int = 512
     density_min: int = 8
     subset_width: int = 8
-    select_fuel: int = 1 << 20
     schedule: str = "least"  # "least" | "committed-columns"
 
 
@@ -52,7 +46,6 @@ class CohConfig:
 class CohState:
     condition: CohCondition
     decided: Dict[str, Dict] = field(default_factory=dict)
-    blocked: Tuple[str, ...] = ()
 
 
 def _digest(payload) -> str:
@@ -64,15 +57,9 @@ def family_digest(family: Sequence[SetPresentation], window: int) -> str:
     return _digest([list(r.window.bits[:window]) for r in family])
 
 
-def _register(inner: CodedModelApprox, members, bound: int):
-    bits = tuple(1 if x in set(members) else 0 for x in range(bound))
-    idx = derived_index(inner, ("explicit", bits))
-    return idx, tuple(sorted(members))
-
-
-def initial_condition(inner: CodedModelApprox, window: int) -> CohCondition:
-    idx, members = _register(inner, range(window), window)
-    return CohCondition(F=(), I=idx, reservoir=members, window_bound=window)
+def initial_condition(window: int) -> CohCondition:
+    return CohCondition(F=(), I=0, reservoir=tuple(range(window)),
+                        window_bound=window)
 
 
 def _next_requirement(state: CohState, family_size: int, stage: int,
@@ -99,12 +86,11 @@ def _next_requirement(state: CohState, family_size: int, stage: int,
 
 
 def coh_step(state: CohState, family: Sequence[SetPresentation],
-             inner: CodedModelApprox, config: CohConfig,
-             stage: int) -> Tuple[CohState, StageRecord]:
+             config: CohConfig, stage: int) -> Tuple[CohState, StageRecord]:
     cond = state.condition
     label = _next_requirement(state, len(family), stage, config.schedule)
     if label is None:
-        return state, StageRecord(stage, "-", "skip", condition_dict(cond), {})
+        return state, StageRecord(stage, "-", SKIP, condition_dict(cond), {})
     kind, _, num = label.partition("_")
     n = int(num)
 
@@ -117,13 +103,12 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
             return state, rec
         new_f = tuple(sorted(cond.F + added))
         survivors = tuple(x for x in cond.reservoir if x > new_f[-1])
-        idx, members = _register(inner, survivors, cond.window_bound)
-        new_cond = CohCondition(new_f, idx, members, cond.window_bound)
+        new_cond = CohCondition(new_f, cond.I + 1, survivors, cond.window_bound)
         decided = dict(state.decided)
         decided[label] = {"added": list(added), "stage": stage}
         rec = StageRecord(stage, label, E_EXTENSION, condition_dict(new_cond),
                           {"added": list(added)})
-        return CohState(new_cond, decided, state.blocked), rec
+        return CohState(new_cond, decided), rec
 
     if kind == "R":
         witness, search = find_halt_witness(
@@ -133,9 +118,8 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
             new_f = witness.members
             top = max(new_f) if new_f else -1
             survivors = tuple(x for x in cond.reservoir if x > top)
-            idx, members = _register(inner, survivors, cond.window_bound)
-            new_cond = CohCondition(tuple(sorted(new_f)), idx, members,
-                                    cond.window_bound)
+            new_cond = CohCondition(tuple(sorted(new_f)), cond.I + 1,
+                                    survivors, cond.window_bound)
             cert = {
                 "answer": "yes", "D": list(witness.added),
                 "steps": witness.steps, "use": witness.use,
@@ -144,7 +128,7 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
             }
             decided[label] = {"answer": "yes", "stage": stage, **cert}
             rec = StageRecord(stage, label, CASE1, condition_dict(new_cond), cert)
-            return CohState(new_cond, decided, state.blocked), rec
+            return CohState(new_cond, decided), rec
         cert = {
             "answer": "no", "search": search,
             "F_at_decision": list(cond.F),
@@ -152,27 +136,23 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
         }
         decided[label] = {"answer": "no", "stage": stage, **cert}
         rec = StageRecord(stage, f"N_{n}", CASE2, condition_dict(cond), cert)
-        return CohState(cond, decided, state.blocked), rec
+        return CohState(cond, decided), rec
 
     # D_n: confine the reservoir to one side of the n-th set
-    r_bits = tuple(
-        family[n].window.bits[x] if x < family[n].window.bound else 0
-        for x in range(cond.window_bound)
-    )
-    j = derived_index(inner, ("explicit", r_bits))
     if not cond.reservoir:
         cert = {"reason": "reservoir exhausted"}
         decided = dict(state.decided)
         decided[label] = {"aborted": True, "stage": stage, **cert}
         rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return CohState(cond, decided, state.blocked), rec
-    out = pi2_select(inner, cond.I, j, config.select_fuel)
-    if out.side == INTERSECT_SIDE:
-        survivors = tuple(x for x in cond.reservoir if r_bits[x])
-        side_bit = 1
-    else:
-        survivors = tuple(x for x in cond.reservoir if not r_bits[x])
-        side_bit = 0
+        return CohState(cond, decided), rec
+    r_bits = tuple(
+        family[n].window.bits[x] if x < family[n].window.bound else 0
+        for x in range(cond.window_bound)
+    )
+    out = select_side(
+        OracleWindow.from_set(cond.reservoir, cond.window_bound).bits, r_bits)
+    side_bit = 1 if out.side == INTERSECT_SIDE else 0
+    survivors = tuple(x for x in cond.reservoir if r_bits[x] == side_bit)
     max_f = max(cond.F) if cond.F else -1
     density = sum(1 for x in survivors if x > max_f)
     cert = {
@@ -187,30 +167,18 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
         cert["reason"] = "density witness lost"
         decided[label] = {"aborted": True, "stage": stage, **cert}
         rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return CohState(cond, decided, state.blocked), rec
-    idx, members = _register(inner, survivors, cond.window_bound)
-    new_cond = CohCondition(cond.F, idx, members, cond.window_bound)
+        return CohState(cond, decided), rec
+    new_cond = CohCondition(cond.F, cond.I + 1, survivors, cond.window_bound)
     decided[label] = {"side": side_bit, "stage": stage, **cert}
     rec = StageRecord(stage, label, D_RESTRICTION, condition_dict(new_cond), cert)
-    return CohState(new_cond, decided, state.blocked), rec
-
-
-_DEFAULT_MODELS: Dict[int, CodedModelApprox] = {}
-
-
-def default_inner_model(depth: int = 120) -> CodedModelApprox:
-    if depth not in _DEFAULT_MODELS:
-        base = SetPresentation(OracleWindow((1,) * 64))
-        _DEFAULT_MODELS[depth] = build_model(base, depth)
-    return _DEFAULT_MODELS[depth]
+    return CohState(new_cond, decided), rec
 
 
 def run_coh(family: Sequence[SetPresentation], stages: int,
-            models=None, config: Optional[CohConfig] = None):
+            config: Optional[CohConfig] = None):
     """Run the construction; returns (Transcript, C prefix)."""
     config = config or CohConfig()
-    inner = models[1] if models else default_inner_model()
-    state = CohState(initial_condition(inner, config.window))
+    state = CohState(initial_condition(config.window))
     t = Transcript(
         kind="coh",
         instance_hash=family_digest(family, config.window),
@@ -221,13 +189,11 @@ def run_coh(family: Sequence[SetPresentation], stages: int,
             "schedule": config.schedule,
         },
     )
-    prev = state.condition
     for s in range(stages):
-        state, rec = coh_step(state, family, inner, config, s)
+        state, rec = coh_step(state, family, config, s)
         t.stages.append(rec)
         if not state.condition.valid():
             raise AssertionError("condition invariant broken")
-        prev = state.condition
     t.extraction = {
         "C": list(state.condition.F),
         "final_reservoir": list(state.condition.reservoir),

@@ -1,9 +1,9 @@
 """Subset selection inside one part of a limit-computed k-partition.
 
-Conditions are tuples (F^0, ..., F^{k-1}, I).  Requirements carry a color:
-code 2e addresses E_e (grow F^i to size e), code 2e+1 addresses R_e
-(self-halting of program e relative to F^i), ordered lexicographically by
-(code, color).  Each stage decides exactly one requirement, so the
+Conditions are tuples (F^0, ..., F^{k-1}, reservoir).  Requirements carry
+a color: code 2e addresses E_e (grow F^i to size e), code 2e+1 addresses
+R_e (self-halting of program e relative to F^i), ordered lexicographically
+by (code, color).  Each stage decides exactly one requirement, so the
 per-color decision counters sum to at most the stage number.
 """
 
@@ -14,18 +14,19 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
-from ..omega_model import CodedModelApprox, derived_index, select_infinite_part
 from .base import (
     ABORT,
     CASE1,
     CASE2,
+    SKIP,
     D2Condition,
     StageRecord,
     Transcript,
     condition_dict,
     find_halt_witness,
+    restrict_to_piece,
 )
-from .coh import _digest, _register, default_inner_model
+from .coh import _digest
 from .em import PartitionCapExceeded, _find_bad_partition, query_free_status
 
 
@@ -66,7 +67,6 @@ class D2Config:
     window: int = 64
     subset_width: int = 8
     partition_cap: int = 3 ** 9
-    select_fuel: int = 1 << 20
 
 
 @dataclass
@@ -98,20 +98,19 @@ def _parse_label(label: str):
     return kind, int(e), int(i)
 
 
-def initial_d2_condition(d: Delta2Partition, inner: CodedModelApprox,
+def initial_d2_condition(d: Delta2Partition,
                          config: D2Config) -> D2Condition:
     window = min(config.window, d.bound)
-    idx, members = _register(inner, range(window), window)
-    return D2Condition(F_parts=((),) * d.k, I=idx, reservoir=members,
-                       window_bound=window)
+    return D2Condition(F_parts=((),) * d.k, I=0,
+                       reservoir=tuple(range(window)), window_bound=window)
 
 
-def d2_step(state: D2State, d: Delta2Partition, inner: CodedModelApprox,
-            config: D2Config, stage: int) -> Tuple[D2State, StageRecord]:
+def d2_step(state: D2State, d: Delta2Partition, config: D2Config,
+            stage: int) -> Tuple[D2State, StageRecord]:
     cond = state.condition
     label = _next_d2_requirement(state, d.k)
     if label is None:
-        return state, StageRecord(stage, "-", "skip", condition_dict(cond), {})
+        return state, StageRecord(stage, "-", SKIP, condition_dict(cond), {})
     kind, e, color = _parse_label(label)
     window = cond.window_bound
     part_of = {z: d.limit_part(z) for z in range(window)}
@@ -127,8 +126,7 @@ def d2_step(state: D2State, d: Delta2Partition, inner: CodedModelApprox,
         new_parts[color] = tuple(sorted(set(f_color) | set(extra)))
         top = max((x for p in new_parts for x in p), default=-1)
         survivors = tuple(z for z in cond.reservoir if z > top)
-        idx, members = _register(inner, survivors, window)
-        new_cond = D2Condition(tuple(new_parts), idx, members, window)
+        new_cond = D2Condition(tuple(new_parts), cond.I + 1, survivors, window)
         decided = dict(state.decided)
         decided[label] = {"stage": stage, **cert}
         counters = bump(state.counters)
@@ -199,53 +197,20 @@ def d2_step(state: D2State, d: Delta2Partition, inner: CodedModelApprox,
         rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
         return D2State(cond, state.decided, blocked, state.counters), rec
 
-    if not cond.reservoir:
-        # nothing to select from: the negative holds over the empty reservoir
-        counters = bump(state.counters)
-        cert = {"answer": "no", "partition": [list(p) for p in bad],
-                "F_at_decision": list(f_color), "reservoir_at_decision": [],
-                "pool_at_decision": [],
-                "search": {"subset_width": config.subset_width},
-                "counters": list(counters)}
-        decided = dict(state.decided)
-        decided[label] = {"stage": stage, **cert}
-        rec = StageRecord(stage, f"N_{e}^{color}", CASE2,
-                          condition_dict(cond), cert)
-        return D2State(cond, decided, state.blocked, counters), rec
-
     # Case 2: restrict to an infinite piece; the requirement is settled
-    # negatively on this reservoir
-    part_idx = [
-        derived_index(inner, ("explicit", tuple(
-            1 if z in set(p) else 0 for z in range(window))))
-        for p in bad
-    ]
-    pos, sel_idx, outcomes = select_infinite_part(
-        inner, cond.I, part_idx, config.select_fuel)
-    # the selected row may carry a longer structural window; only its
-    # overlap with the current reservoir is part of the condition
-    kept = set(inner.row_window(sel_idx).members()) & set(cond.reservoir)
-    sel_idx, members = _register(inner, sorted(kept), window)
-    new_cond = D2Condition(cond.F_parts, sel_idx, members, window)
+    # negatively on this reservoir (over an empty one, nothing is selected)
+    kept, cert = restrict_to_piece(cond.reservoir, window, bad)
+    new_cond = cond
+    if kept is not None:
+        new_cond = D2Condition(cond.F_parts, cond.I + 1, kept, window)
     counters = bump(state.counters)
-    cert = {
-        "partition": [list(p) for p in bad],
-        "selected_part": pos,
-        "selection": [
-            {"side": o.side, "by": o.by,
-             "count_intersect": o.count_intersect,
-             "count_complement": o.count_complement}
-            for o in outcomes
-        ],
-        "F_at_decision": list(f_color),
-        "reservoir_at_decision": list(cond.reservoir),
-        "pool_at_decision": [z for z in cond.reservoir
-                             if part_of.get(z) == color],
-        "counters": list(counters),
-    }
+    cert.update(
+        answer="no", F_at_decision=list(f_color),
+        pool_at_decision=[z for z in cond.reservoir
+                          if part_of.get(z) == color],
+        search={"subset_width": config.subset_width},
+        counters=list(counters))
     decided = dict(state.decided)
-    cert["answer"] = "no"
-    cert["search"] = {"subset_width": config.subset_width}
     decided[label] = {"stage": stage, **cert}
     requirement = f"N_{e}^{color}"
     rec = StageRecord(stage, requirement, CASE2, condition_dict(new_cond), cert)
@@ -281,12 +246,10 @@ def select_color(t: Transcript, horizon: int) -> int:
         "every candidate color has a negatively decided size requirement")
 
 
-def run_d2(d: Delta2Partition, stages: int, models=None,
-           config: Optional[D2Config] = None):
+def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
     config = config or D2Config()
-    inner = models[1] if models else default_inner_model()
-    state = D2State(initial_d2_condition(d, inner, config),
+    state = D2State(initial_d2_condition(d, config),
                     counters=(0,) * d.k)
     t = Transcript(
         kind="d2",
@@ -299,7 +262,7 @@ def run_d2(d: Delta2Partition, stages: int, models=None,
         },
     )
     for s in range(stages):
-        state, rec = d2_step(state, d, inner, config, s)
+        state, rec = d2_step(state, d, config, s)
         t.stages.append(rec)
         if not state.condition.valid():
             raise AssertionError("condition invariant broken")

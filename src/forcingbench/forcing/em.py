@@ -1,8 +1,8 @@
 """Transitive-pattern (fallow) set construction from a stable coloring.
 
-Conditions (F, I) carry the clause flags (ii)-(vi): reservoir density,
-separation, fallowness of F, one-step fallowness F ∪ {z}, and tail-color
-constancy c(x, z) for x in F across the reservoir.  The stage question --
+Conditions (F, reservoir) carry the clause flags (ii)-(vi): reservoir
+density, separation, fallowness of F, one-step fallowness F ∪ {z}, and
+tail-color constancy c(x, z) for x in F across the reservoir.  The stage question --
 is there a finite stage of the reservoir on which every partition into k
 pieces leaves some piece extendable for the current requirement? -- is
 decided by searching for a "bad" partition of the whole window: piecewise
@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..approx import Coloring
 from ..machine import EMPTY_WINDOW, HALTED, run_program
-from ..omega_model import CodedModelApprox, derived_index, select_infinite_part
 from .base import (
     ABORT,
     CASE1,
     CASE2,
-    DENSITY_MIN,
+    SKIP,
     EmCondition,
     StageRecord,
     Transcript,
@@ -36,9 +35,10 @@ from .base import (
     find_halt_witness,
     limit_color,
     queries_oracle,
+    restrict_to_piece,
     stabilization_point,
 )
-from .coh import _digest, _register, default_inner_model
+from .coh import _digest
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class EmConfig:
     subset_width: int = 8
     partition_cap: int = 3 ** 9
     extension_cap: int = 256
-    select_fuel: int = 1 << 20
 
 
 class PartitionCapExceeded(RuntimeError):
@@ -171,12 +170,11 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min) -> Tuple[str, ...]:
     return tuple(flags)
 
 
-def initial_em_condition(c: Coloring, inner: CodedModelApprox,
-                         config: EmConfig) -> EmCondition:
+def initial_em_condition(c: Coloring, config: EmConfig) -> EmCondition:
     window = min(config.window, c.bound)
-    idx, members = _register(inner, range(window), window)
+    members = tuple(range(window))
     return EmCondition(
-        F=(), I=idx, reservoir=members, window_bound=window,
+        F=(), I=0, reservoir=members, window_bound=window,
         precondition_flags=em_clause_flags(c, (), members, config.density_min),
     )
 
@@ -197,12 +195,12 @@ def _next_em_requirement(state: EmState) -> Optional[str]:
     return None
 
 
-def em_step(state: EmState, c: Coloring, inner: CodedModelApprox,
-            config: EmConfig, stage: int) -> Tuple[EmState, StageRecord]:
+def em_step(state: EmState, c: Coloring, config: EmConfig,
+            stage: int) -> Tuple[EmState, StageRecord]:
     cond = state.condition
     label = _next_em_requirement(state)
     if label is None:
-        return state, StageRecord(stage, "-", "skip", condition_dict(cond), {})
+        return state, StageRecord(stage, "-", SKIP, condition_dict(cond), {})
     kind, _, num = label.partition("_")
     n = int(num)
     window = cond.window_bound
@@ -216,9 +214,9 @@ def em_step(state: EmState, c: Coloring, inner: CodedModelApprox,
         m = stabilization_point(c, new_f, window) if new_f else 0
         top = max(new_f) if new_f else -1
         survivors = tuple(z for z in cond.reservoir if z >= m and z > top)
-        idx, members = _register(inner, survivors, window)
-        flags = em_clause_flags(c, new_f, members, config.density_min)
-        new_cond = EmCondition(tuple(sorted(new_f)), idx, members, window, flags)
+        flags = em_clause_flags(c, new_f, survivors, config.density_min)
+        new_cond = EmCondition(tuple(sorted(new_f)), cond.I + 1, survivors,
+                               window, flags)
         cert = dict(cert)
         cert["m"] = m
         cert["class"] = part_class
@@ -279,45 +277,16 @@ def em_step(state: EmState, c: Coloring, inner: CodedModelApprox,
         rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
         return EmState(cond, state.decided, blocked), rec
 
-    if not cond.reservoir:
-        cert = {"answer": "no", "partition": [list(p) for p in bad],
-                "F_at_decision": list(cond.F), "reservoir_at_decision": [],
-                "search": {"subset_width": config.subset_width}}
-        decided = dict(state.decided)
-        decided[label] = {"stage": stage, **cert}
-        rec = StageRecord(stage, f"N_{n}", CASE2, condition_dict(cond), cert)
-        return EmState(cond, decided, state.blocked), rec
-
     # Case 2: every piece of this whole-window partition is unextendable;
     # keep an infinite piece and record the negative decision
-    part_idx = [
-        derived_index(inner, ("explicit", tuple(
-            1 if z in set(p) else 0 for z in range(window))))
-        for p in bad
-    ]
-    pos, sel_idx, outcomes = select_infinite_part(
-        inner, cond.I, part_idx, config.select_fuel)
-    # the selected row may carry a longer structural window; only its
-    # overlap with the current reservoir is part of the condition
-    kept = set(inner.row_window(sel_idx).members()) & set(cond.reservoir)
-    sel_idx, members = _register(inner, sorted(kept), window)
-    flags = em_clause_flags(c, cond.F, members, config.density_min)
-    new_cond = EmCondition(cond.F, sel_idx, members, window, flags)
-    cert = {
-        "partition": [list(p) for p in bad],
-        "selected_part": pos,
-        "selection": [
-            {"side": o.side, "by": o.by,
-             "count_intersect": o.count_intersect,
-             "count_complement": o.count_complement}
-            for o in outcomes
-        ],
-        "F_at_decision": list(cond.F),
-        "reservoir_at_decision": list(cond.reservoir),
-    }
+    kept, cert = restrict_to_piece(cond.reservoir, window, bad)
+    new_cond = cond
+    if kept is not None:
+        flags = em_clause_flags(c, cond.F, kept, config.density_min)
+        new_cond = EmCondition(cond.F, cond.I + 1, kept, window, flags)
+    cert.update(answer="no", F_at_decision=list(cond.F),
+                search={"subset_width": config.subset_width})
     decided = dict(state.decided)
-    cert["answer"] = "no"
-    cert["search"] = {"subset_width": config.subset_width}
     decided[label] = {"stage": stage, **cert}
     rec = StageRecord(stage, f"N_{n}", CASE2, condition_dict(new_cond), cert)
     return EmState(new_cond, decided, state.blocked), rec
@@ -386,12 +355,10 @@ def _em_e_witness(c, cond, limits, need, config):
     return best[1], best[2]
 
 
-def run_em(c: Coloring, stages: int, models=None,
-           config: Optional[EmConfig] = None):
+def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
     config = config or EmConfig()
-    inner = models[1] if models else default_inner_model()
-    state = EmState(initial_em_condition(c, inner, config))
+    state = EmState(initial_em_condition(c, config))
     t = Transcript(
         kind="em",
         instance_hash=coloring_digest(c),
@@ -404,7 +371,7 @@ def run_em(c: Coloring, stages: int, models=None,
         },
     )
     for s in range(stages):
-        state, rec = em_step(state, c, inner, config, s)
+        state, rec = em_step(state, c, config, s)
         t.stages.append(rec)
         if not state.condition.valid():
             raise AssertionError("condition invariant broken")

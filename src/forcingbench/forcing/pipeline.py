@@ -46,7 +46,7 @@ def column_family(c: Coloring):
     return fam
 
 
-def rt2_pipeline(c: Coloring, stages: int, models=None,
+def rt2_pipeline(c: Coloring, stages: int,
                  config: Optional[PipelineConfig] = None):
     """Returns (H, Transcript): H monochromatic for c, checked pair by pair."""
     if c.k != 2:
@@ -57,7 +57,7 @@ def rt2_pipeline(c: Coloring, stages: int, models=None,
         subset_width=config.subset_width, schedule="committed-columns",
     )
     t_coh, committed = run_coh(
-        column_family(c), config.coh_stages or stages, models, coh_cfg)
+        column_family(c), config.coh_stages or stages, coh_cfg)
     decided = t_coh.extraction["decided"]
     sides = {}
     for x in committed:
@@ -87,7 +87,7 @@ def rt2_pipeline(c: Coloring, stages: int, models=None,
         declared_limits=part_of,
     )
     d2_cfg = D2Config(window=len(stable_cols))
-    t_d2, (color, b) = run_d2(induced, config.d2_stages, models, d2_cfg)
+    t_d2, (color, b) = run_d2(induced, config.d2_stages, d2_cfg)
     h = sorted(stable_cols[j] for j in b)
     # greedy closure over the window, re-checking every pair; the committed
     # prefix goes first so the construction's own elements are preferred

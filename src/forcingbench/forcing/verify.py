@@ -171,16 +171,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     """
     report = AuditReport()
     if t.kind == "rt2":
-        inner_coh = Transcript.from_dict(t.extraction["coh"])
-        inner_d2 = Transcript.from_dict(t.extraction["d2"])
-        sub = verify_transcript(inner_coh, audit_fuel)
-        report.findings.extend(sub.findings)
-        for g, n in sub.counts.items():
-            report.counts[g] += n
-        sub = verify_transcript(inner_d2, audit_fuel)
-        report.findings.extend(sub.findings)
-        for g, n in sub.counts.items():
-            report.counts[g] += n
+        for nested in ("coh", "d2"):
+            sub = verify_transcript(
+                Transcript.from_dict(t.extraction[nested]), audit_fuel)
+            report.findings.extend(sub.findings)
+            for g, n in sub.counts.items():
+                report.counts[g] += n
         h = t.extraction["H"]
         color = t.extraction["color"]
         if instance is not None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
 from ..forcing import (
@@ -38,8 +37,6 @@ from .instances import (
 )
 from .oracles import brute_oracle
 from .transcripts import emit_transcript, load_transcript, transcript_hash
-
-log = logging.getLogger("forcingbench")
 
 
 def _exit_code(report) -> int:
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -13,12 +13,18 @@ The i-th row's decided window is the contiguous x-range with
 cantor(i, x) < depth.  Rows above DERIVED_BASE form the derived-index
 region: explicit windows allocated on demand for set operations whose
 result matches no structural row.
+
+Side selection (`select_side`, and `select_part` over a partition) works
+on plain bit windows; the constructions in `forcing/` call it on their
+reservoir windows directly.  The model itself serves `build-model` and the
+model audit; `pi2_select` and `select_infinite_part` apply the same
+selection to the decided windows of model rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approx import SetPresentation
 from .machine import HALTED, OracleWindow, run_program
@@ -308,33 +314,32 @@ class SelectOutcome:
     count_complement: int
 
 
-def pi2_select(m: CodedModelApprox, i: ModelIndex, j: ModelIndex,
-               fuel: int) -> SelectOutcome:
-    """Pick the side of row j on which row i stays infinite (window-scale).
+def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
+                fuel: Optional[int] = None) -> SelectOutcome:
+    """Pick the side of window j on which window i stays infinite
+    (window-scale); windows are bit tuples compared on their common prefix.
 
     Realizes the partial tail search: find the least n below half the
-    window past which row i avoids one side of row j; default to the
-    complement side on exhaustion, then audit window densities and flip if
-    the chosen side is empty while the other is not.
+    window (and below `fuel`, when given) past which window i avoids one
+    side of window j; default to the complement side on exhaustion, then
+    audit window densities and flip if the chosen side is empty while the
+    other is not.
     """
-    wi = m.row_window(i).bits
-    wj = m.row_window(j).bits
     bound = min(len(wi), len(wj))
     members = [x for x in range(bound) if wi[x]]
     if not members:
-        raise PreconditionViolation("row i empty on the window")
+        raise PreconditionViolation("window i empty")
     count_int = sum(1 for x in members if wj[x])
     count_comp = len(members) - count_int
     side, by = COMPLEMENT_SIDE, "default"
-    # least n past which row i avoids one side of row j; k = 0 clears once
-    # the last intersection point is behind, k = 1 once the last
+    # least n past which window i avoids one side of window j; k = 0 clears
+    # once the last intersection point is behind, k = 1 once the last
     # complement point is, so only the two last offenders matter
     last = {0: -1, 1: -1}
-    for x in range(bound):
-        if wi[x]:
-            last[1 if wj[x] else 0] = x
+    for x in members:
+        last[1 if wj[x] else 0] = x
     n0, n1 = last[1] + 1, last[0] + 1  # k = 0 clears at n0, k = 1 at n1
-    cap = min(fuel, bound // 2)
+    cap = bound // 2 if fuel is None else min(fuel, bound // 2)
     if min(n0, n1) <= cap:
         hit = 0 if n0 <= n1 else 1
         side = COMPLEMENT_SIDE if hit == 0 else INTERSECT_SIDE
@@ -346,29 +351,41 @@ def pi2_select(m: CodedModelApprox, i: ModelIndex, j: ModelIndex,
     return SelectOutcome(side, by, count_int, count_comp)
 
 
-def select_infinite_part(m: CodedModelApprox, i: ModelIndex, parts, fuel: int):
-    """Walk a partition of the window with repeated side selection.
+def select_part(wi: Tuple[int, ...], parts: Sequence[Tuple[int, ...]],
+                fuel: Optional[int] = None):
+    """Walk a partition of window i with repeated side selection.
 
-    `parts` are model indices covering row i's window.  Asks pi2_select
-    against each part in turn, descending into the complement remainder on
-    a complement answer; the final part absorbs whatever remains.  Returns
-    (part position, index of the selected remainder, select outcomes).
+    `parts` are bit windows covering window i.  Asks select_side against
+    each part in turn, descending into the complement remainder on a
+    complement answer; the final part absorbs whatever remains.  Returns
+    (part position, bits of the selected remainder, select outcomes).
     """
     if not parts:
         raise PreconditionViolation("empty partition")
-    cur = i
+    cur = wi
     outcomes: List[SelectOutcome] = []
-    for t, p in enumerate(parts):
-        if t == len(parts) - 1:
-            return t, derived_index(m, ("intersect", cur, p)), outcomes
-        out = pi2_select(m, cur, p, fuel)
+    for t, p in enumerate(parts[:-1]):
+        out = select_side(cur, p, fuel)
         outcomes.append(out)
         if out.side == INTERSECT_SIDE:
-            return t, derived_index(m, ("intersect", cur, p)), outcomes
-        cur = derived_index(
-            m, ("intersect", cur, derived_index(m, ("complement", p)))
-        )
-    raise AssertionError("unreachable")
+            return t, tuple(a & b for a, b in zip(cur, p)), outcomes
+        cur = tuple(a & (1 - b) for a, b in zip(cur, p))
+    last = parts[-1]
+    return len(parts) - 1, tuple(a & b for a, b in zip(cur, last)), outcomes
+
+
+def pi2_select(m: CodedModelApprox, i: ModelIndex, j: ModelIndex,
+               fuel: int) -> SelectOutcome:
+    """select_side on the decided windows of rows i and j."""
+    return select_side(m.row_window(i).bits, m.row_window(j).bits, fuel)
+
+
+def select_infinite_part(m: CodedModelApprox, i: ModelIndex, parts, fuel: int):
+    """select_part on the decided windows of row i and the part rows;
+    returns (part position, index of the selected remainder, outcomes)."""
+    pos, bits, outcomes = select_part(
+        m.row_window(i).bits, [m.row_window(p).bits for p in parts], fuel)
+    return pos, derived_index(m, ("explicit", bits)), outcomes
 
 
 def model_audit(m: CodedModelApprox) -> List[str]:
