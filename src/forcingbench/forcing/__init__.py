@@ -1,7 +1,6 @@
 from .base import (  # noqa: F401
     CohCondition,
     D2Condition,
-    EmCondition,
     FallowReport,
     StageRecord,
     Transcript,

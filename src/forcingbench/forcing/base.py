@@ -1,4 +1,4 @@
-"""Shared substrate for the three set-construction engines.
+"""Shared substrate and stage engine of the three set-construction engines.
 
 A condition is a pair (finite committed set, reservoir).  A reservoir is
 a plain sorted tuple of members of the run's window [0, window_bound); side
@@ -9,14 +9,30 @@ installs a new reservoir.
 "Infinite" always means: the window density witness meets a configured
 count beyond the committed maximum.  Every acceptance of that surrogate is
 recorded so an audit can demand more.
+
+The stage engine: `run_stages` passes a run's `State` to the engine's step
+once per stage, and every stage ends in `settle`, which records it and
+books its label as decided or blocked.  EM and D2 share `force_step`: is
+there a finite stage of the reservoir on which every partition into k
+pieces leaves some piece extendable for the requirement?  A "bad"
+partition of the whole window decides it: extendability (`compat`) is
+inherited by subsets, so a bad partition of the window restricts to one of
+every finite stage, and the window is itself a stage.  Without one (Case
+1) a witness is committed; with one (Case 2) an infinite piece of it is
+kept and the negative answer recorded.  Engines supply only their
+mathematics: requirement schedule, `compat`, witness finder and commit.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from ..machine import HALTED, OracleWindow, decode_program, run_program, OP_QRY
+from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OracleWindow,
+                       decode_program, run_program)
 from ..approx import Coloring, ColorLimit, stable_color_limit
 from ..omega_model import select_part
 
@@ -34,20 +50,7 @@ class CohCondition:
     I: int  # number of reservoirs installed before this one in the run
     reservoir: Tuple[int, ...]  # sorted members inside the window
     window_bound: int
-
-    def valid(self) -> bool:
-        if self.F and self.reservoir:
-            return max(self.F) < min(self.reservoir)
-        return True
-
-
-@dataclass(frozen=True)
-class EmCondition:
-    F: Tuple[int, ...]
-    I: int
-    reservoir: Tuple[int, ...]
-    window_bound: int
-    precondition_flags: Tuple[str, ...] = ()  # verified clause tags
+    precondition_flags: Tuple[str, ...] = ()  # EM's verified clause tags
 
     def valid(self) -> bool:
         if self.F and self.reservoir:
@@ -108,7 +111,7 @@ class FallowReport:
     violation: Optional[Tuple[int, int, int]] = None
 
 
-def _pair_value(c: Coloring):
+def pair_value(c: Coloring):
     # direct table access; c.value dominates the triple scans otherwise
     if c.table is not None:
         table = c.table
@@ -124,7 +127,7 @@ def fallow_check(c: Coloring, s) -> FallowReport:
     """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
     if any."""
     elems = sorted(s)
-    val = _pair_value(c)
+    val = pair_value(c)
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
             for d in range(b + 1, len(elems)):
@@ -154,6 +157,19 @@ def queries_oracle(e: int) -> bool:
     query-free programs halt independently of the committed set (only the
     fuel bound matters)."""
     return any(ins.op == OP_QRY for ins in decode_program(e).code)
+
+
+@lru_cache(maxsize=None)
+def query_free_status(e: int, fuel_cap: int):
+    """("halts", step) / ("diverges", cap) for query-free programs, else
+    ("queries",).  A query-free program's bounded self-halting depends only
+    on the fuel bound, which our convention ties to the oracle maximum."""
+    if queries_oracle(e):
+        return ("queries",)
+    out = run_program(e, e, EMPTY_WINDOW, fuel_cap)
+    if out.tag == HALTED:
+        return ("halts", out.steps)
+    return ("diverges", fuel_cap)
 
 
 @dataclass(frozen=True)
@@ -220,6 +236,84 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
         if w is not None:
             return w, record
     return None, record
+
+
+def halt_cert(w: HaltWitness, search: Dict, key: str = "E") -> Dict:
+    """A positive halting certificate; coh names the added set "D"."""
+    return {"answer": "yes", key: list(w.added), "steps": w.steps,
+            "use": w.use, "value": w.value, "oracle": list(w.members),
+            "search": search}
+
+
+def halt_compat(e: int, F, window: int, subset_width: int, pools, admits,
+                extra_filter=None):
+    """EM's and D2's compat for R_e: can a piece make e self-halt over F?
+    A query-free program needs only fuel, from F or from a member z of the
+    piece that `admits(z)`; otherwise a bounded witness search, vetoed by
+    `extra_filter`, runs in each of `pools(piece)` in turn."""
+    status = query_free_status(e, window + 1)
+
+    @lru_cache(maxsize=None)
+    def compat(piece: frozenset) -> bool:
+        if status[0] == "diverges":
+            return False
+        if status[0] == "halts":
+            sigma = status[1]
+            if sigma <= (max(F) + 1 if F else 1):
+                return True  # the committed set alone is fuel enough
+            return any(z >= sigma - 1 and admits(z) for z in piece)
+        for pool in pools(piece):
+            w, _ = find_halt_witness(e, F, pool, subset_width=subset_width,
+                                     extra_filter=extra_filter)
+            if w is not None:
+                return True
+        return False
+
+    return compat
+
+
+class PartitionCapExceeded(RuntimeError):
+    pass
+
+
+def _find_bad_partition(members, k, compatible, cap):
+    """A partition of `members` into k pieces with no piece extendable, or
+    None, by a depth-first search that prunes any piece that becomes
+    extendable.  Members that are singleton-extendable are assigned first,
+    which collapses the search immediately whenever the answer is Yes."""
+    if compatible(frozenset()):
+        # extendability is monotone and the empty piece sits inside every
+        # piece, so no partition can be bad
+        return None
+    useful = [z for z in members if compatible(frozenset((z,)))]
+    rest = [z for z in members if z not in set(useful)]
+    order = useful + rest
+    visits = 0
+    parts: List[set] = [set() for _ in range(k)]
+
+    def rec(pos):
+        nonlocal visits
+        visits += 1
+        if visits > cap:
+            raise PartitionCapExceeded(str(cap))
+        if pos == len(order):
+            return [sorted(p) for p in parts]
+        z = order[pos]
+        seen_empty = False
+        for j in range(k):
+            if not parts[j]:
+                if seen_empty:
+                    continue  # symmetric to the previous empty piece
+                seen_empty = True
+            parts[j].add(z)
+            if not compatible(frozenset(parts[j])):
+                found = rec(pos + 1)
+                if found is not None:
+                    return found
+            parts[j].discard(z)
+        return None
+
+    return rec(0)
 
 
 def restrict_to_piece(reservoir, window: int, partition):
@@ -334,3 +428,89 @@ def condition_dict(cond) -> Dict:
     else:
         d["F"] = list(cond.F)
     return d
+
+
+def digest(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@dataclass
+class State:
+    condition: "CohCondition | D2Condition"
+    decided: Dict[str, Dict] = field(default_factory=dict)
+    blocked: Tuple[str, ...] = ()
+    counters: Tuple[int, ...] = ()  # D2's decisions per color
+
+
+def settle(state: State, stage: int, label: str, branch: str, cond,
+           cert: Dict, entry: Optional[Dict] = None, block: bool = False,
+           requirement: Optional[str] = None) -> StageRecord:
+    """End a stage in condition `cond`, booking `label` as decided (`entry`
+    plus the stage) or blocked; the record names `requirement` or `label`."""
+    state.condition = cond
+    if entry is not None:
+        state.decided[label] = {"stage": stage, **entry}
+    if block:
+        state.blocked += (label,)
+    return StageRecord(stage, requirement or label, branch,
+                       condition_dict(cond), cert)
+
+
+def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
+               step, stages: int) -> Transcript:
+    """A stage whose `step` finds no requirement due (None) is a skip."""
+    t = Transcript(kind=kind, instance_hash=instance_hash, config=config)
+    for s in range(stages):
+        t.stages.append(step(state, s)
+                        or settle(state, s, "-", SKIP, state.condition, {}))
+        if not state.condition.valid():
+            raise AssertionError("condition invariant broken")
+        if sum(state.counters) > s + 1:  # one decision per stage at most
+            raise AssertionError("counter budget exceeded")
+    return t
+
+
+def force_step(state: State, stage: int, label: str, k: int, cap: int,
+               compat, witness, narrow, negative: Dict, stall: str,
+               color: Optional[int] = None) -> StageRecord:
+    """One EM or D2 stage for `label`.  `compat` is None when the answer
+    is known to be yes without a search.  Case 1: `witness()` gives the
+    committed (condition, certificate) or None.  Case 2: `narrow(kept)`
+    gives the condition over the kept piece, and the certificate gets the
+    `negative` fields.  A stalled size requirement is blocked with reason
+    `stall`.  With a `color` (D2), Case-1 and Case-2 certificates carry the
+    decision counts per color; a Case-1 entry in `decided` does not."""
+    cond = state.condition
+
+    def abort(cert):
+        return settle(state, stage, label, ABORT, cond, cert, block=True)
+
+    def count(cert):
+        if color is None:
+            return cert
+        state.counters = tuple(n + (i == color)
+                               for i, n in enumerate(state.counters))
+        return {**cert, "counters": list(state.counters)}
+
+    try:
+        bad = None if compat is None else _find_bad_partition(
+            cond.reservoir, k, compat, cap)
+    except PartitionCapExceeded:
+        return abort({"reason": "partition cap exceeded", "cap": cap})
+    if bad is None:
+        found = witness()
+        if found is None:
+            return abort({"reason":
+                          "question answered yes but no class witness found"})
+        new_cond, cert = found
+        return settle(state, stage, label, CASE1, new_cond, count(cert),
+                      entry=cert)
+    if label.startswith("E"):
+        # size is never forced negatively, only starved by the window
+        return abort({"reason": stall, "partition": [list(p) for p in bad]})
+    kept, cert = restrict_to_piece(cond.reservoir, cond.window_bound, bad)
+    cert = count({**cert, "answer": "no", **negative})
+    return settle(state, stage, label, CASE2,
+                  cond if kept is None else narrow(kept), cert, entry=cert,
+                  requirement="N" + label[1:])

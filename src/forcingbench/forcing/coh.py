@@ -11,10 +11,8 @@ committed x so that every later commitment lands on x's chosen side.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..approx import SetPresentation
 from ..machine import OracleWindow
@@ -25,12 +23,14 @@ from .base import (
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
-    SKIP,
     CohCondition,
     StageRecord,
-    Transcript,
-    condition_dict,
+    State,
+    digest,
     find_halt_witness,
+    halt_cert,
+    run_stages,
+    settle,
 )
 
 
@@ -42,19 +42,8 @@ class CohConfig:
     schedule: str = "least"  # "least" | "committed-columns"
 
 
-@dataclass
-class CohState:
-    condition: CohCondition
-    decided: Dict[str, Dict] = field(default_factory=dict)
-
-
-def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def family_digest(family: Sequence[SetPresentation], window: int) -> str:
-    return _digest([list(r.window.bits[:window]) for r in family])
+    return digest([list(r.window.bits[:window]) for r in family])
 
 
 def initial_condition(window: int) -> CohCondition:
@@ -62,7 +51,16 @@ def initial_condition(window: int) -> CohCondition:
                         window_bound=window)
 
 
-def _next_requirement(state: CohState, family_size: int, stage: int,
+def _above(cond: CohCondition, new_f) -> CohCondition:
+    """Commit `new_f`; the reservoir keeps only what lies above it."""
+    new_f = tuple(sorted(new_f))
+    top = new_f[-1] if new_f else -1
+    return CohCondition(new_f, cond.I + 1,
+                        tuple(x for x in cond.reservoir if x > top),
+                        cond.window_bound)
+
+
+def _next_requirement(state: State, family_size: int, stage: int,
                       schedule: str) -> Optional[str]:
     cond = state.condition
     if schedule == "committed-columns":
@@ -85,12 +83,12 @@ def _next_requirement(state: CohState, family_size: int, stage: int,
     return None
 
 
-def coh_step(state: CohState, family: Sequence[SetPresentation],
-             config: CohConfig, stage: int) -> Tuple[CohState, StageRecord]:
+def coh_step(state: State, family: Sequence[SetPresentation],
+             config: CohConfig, stage: int) -> Optional[StageRecord]:
     cond = state.condition
     label = _next_requirement(state, len(family), stage, config.schedule)
     if label is None:
-        return state, StageRecord(stage, "-", SKIP, condition_dict(cond), {})
+        return None
     kind, _, num = label.partition("_")
     n = int(num)
 
@@ -98,53 +96,32 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
         need = n - len(cond.F)
         added = cond.reservoir[:need]
         if len(added) < need:
-            rec = StageRecord(stage, label, ABORT, condition_dict(cond),
-                              {"reason": "reservoir exhausted"})
-            return state, rec
-        new_f = tuple(sorted(cond.F + added))
-        survivors = tuple(x for x in cond.reservoir if x > new_f[-1])
-        new_cond = CohCondition(new_f, cond.I + 1, survivors, cond.window_bound)
-        decided = dict(state.decided)
-        decided[label] = {"added": list(added), "stage": stage}
-        rec = StageRecord(stage, label, E_EXTENSION, condition_dict(new_cond),
-                          {"added": list(added)})
-        return CohState(new_cond, decided), rec
+            return settle(state, stage, label, ABORT, cond,
+                          {"reason": "reservoir exhausted"})
+        cert = {"added": list(added)}
+        return settle(state, stage, label, E_EXTENSION,
+                      _above(cond, cond.F + added), cert, entry=cert)
 
     if kind == "R":
         witness, search = find_halt_witness(
             n, cond.F, cond.reservoir, subset_width=config.subset_width)
-        decided = dict(state.decided)
         if witness is not None:
-            new_f = witness.members
-            top = max(new_f) if new_f else -1
-            survivors = tuple(x for x in cond.reservoir if x > top)
-            new_cond = CohCondition(tuple(sorted(new_f)), cond.I + 1,
-                                    survivors, cond.window_bound)
-            cert = {
-                "answer": "yes", "D": list(witness.added),
-                "steps": witness.steps, "use": witness.use,
-                "value": witness.value, "oracle": list(witness.members),
-                "search": search,
-            }
-            decided[label] = {"answer": "yes", "stage": stage, **cert}
-            rec = StageRecord(stage, label, CASE1, condition_dict(new_cond), cert)
-            return CohState(new_cond, decided), rec
+            cert = halt_cert(witness, search, key="D")
+            return settle(state, stage, label, CASE1,
+                          _above(cond, witness.members), cert, entry=cert)
         cert = {
             "answer": "no", "search": search,
             "F_at_decision": list(cond.F),
             "reservoir_at_decision": list(cond.reservoir),
         }
-        decided[label] = {"answer": "no", "stage": stage, **cert}
-        rec = StageRecord(stage, f"N_{n}", CASE2, condition_dict(cond), cert)
-        return CohState(cond, decided), rec
+        return settle(state, stage, label, CASE2, cond, cert, entry=cert,
+                      requirement=f"N_{n}")
 
     # D_n: confine the reservoir to one side of the n-th set
     if not cond.reservoir:
         cert = {"reason": "reservoir exhausted"}
-        decided = dict(state.decided)
-        decided[label] = {"aborted": True, "stage": stage, **cert}
-        rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return CohState(cond, decided), rec
+        return settle(state, stage, label, ABORT, cond, cert,
+                      entry={"aborted": True, **cert})
     r_bits = tuple(
         family[n].window.bits[x] if x < family[n].window.bound else 0
         for x in range(cond.window_bound)
@@ -162,38 +139,27 @@ def coh_step(state: CohState, family: Sequence[SetPresentation],
         "density": density,
         "F_at_decision": list(cond.F),
     }
-    decided = dict(state.decided)
     if density < config.density_min:
         cert["reason"] = "density witness lost"
-        decided[label] = {"aborted": True, "stage": stage, **cert}
-        rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return CohState(cond, decided), rec
+        return settle(state, stage, label, ABORT, cond, cert,
+                      entry={"aborted": True, **cert})
     new_cond = CohCondition(cond.F, cond.I + 1, survivors, cond.window_bound)
-    decided[label] = {"side": side_bit, "stage": stage, **cert}
-    rec = StageRecord(stage, label, D_RESTRICTION, condition_dict(new_cond), cert)
-    return CohState(new_cond, decided), rec
+    return settle(state, stage, label, D_RESTRICTION, new_cond, cert,
+                  entry=cert)
 
 
 def run_coh(family: Sequence[SetPresentation], stages: int,
             config: Optional[CohConfig] = None):
     """Run the construction; returns (Transcript, C prefix)."""
     config = config or CohConfig()
-    state = CohState(initial_condition(config.window))
-    t = Transcript(
-        kind="coh",
-        instance_hash=family_digest(family, config.window),
-        config={
+    state = State(initial_condition(config.window))
+    t = run_stages(
+        "coh", family_digest(family, config.window), {
             "stages": stages, "window": config.window,
             "density_min": config.density_min,
             "subset_width": config.subset_width,
             "schedule": config.schedule,
-        },
-    )
-    for s in range(stages):
-        state, rec = coh_step(state, family, config, s)
-        t.stages.append(rec)
-        if not state.condition.valid():
-            raise AssertionError("condition invariant broken")
+        }, state, lambda st, s: coh_step(st, family, config, s), stages)
     t.extraction = {
         "C": list(state.condition.F),
         "final_reservoir": list(state.condition.reservoir),

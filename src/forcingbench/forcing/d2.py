@@ -9,25 +9,25 @@ per-color decision counters sum to at most the stage number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
 from .base import (
-    ABORT,
     CASE1,
     CASE2,
-    SKIP,
     D2Condition,
     StageRecord,
+    State,
     Transcript,
-    condition_dict,
+    digest,
     find_halt_witness,
-    restrict_to_piece,
+    force_step,
+    halt_cert,
+    halt_compat,
+    run_stages,
+    settle,
 )
-from .coh import _digest
-from .em import PartitionCapExceeded, _find_bad_partition, query_free_status
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Delta2Partition:
 
 
 def partition_digest(d: Delta2Partition) -> str:
-    return _digest({
+    return digest({
         "k": d.k, "table": [list(r) for r in d.table], "bound": d.bound,
         "promised_bound": d.promised_bound,
     })
@@ -69,21 +69,13 @@ class D2Config:
     partition_cap: int = 3 ** 9
 
 
-@dataclass
-class D2State:
-    condition: D2Condition
-    decided: Dict[str, Dict] = field(default_factory=dict)
-    blocked: Tuple[str, ...] = ()
-    counters: Tuple[int, ...] = ()
-
-
 def requirement_order(code: int, k: int) -> List[str]:
     e = code // 2
     kind = "E" if code % 2 == 0 else "R"
     return [f"{kind}_{e}^{i}" for i in range(k)]
 
 
-def _next_d2_requirement(state: D2State, k: int) -> Optional[str]:
+def _next_d2_requirement(state: State, k: int) -> Optional[str]:
     horizon = len(state.decided) + len(state.blocked) + 4
     for code in range(2 * horizon):
         for label in requirement_order(code, k):
@@ -105,116 +97,56 @@ def initial_d2_condition(d: Delta2Partition,
                        reservoir=tuple(range(window)), window_bound=window)
 
 
-def d2_step(state: D2State, d: Delta2Partition, config: D2Config,
-            stage: int) -> Tuple[D2State, StageRecord]:
+def d2_step(state: State, d: Delta2Partition, config: D2Config,
+            stage: int) -> Optional[StageRecord]:
     cond = state.condition
     label = _next_d2_requirement(state, d.k)
     if label is None:
-        return state, StageRecord(stage, "-", SKIP, condition_dict(cond), {})
+        return None
     kind, e, color = _parse_label(label)
     window = cond.window_bound
     part_of = {z: d.limit_part(z) for z in range(window)}
     f_color = cond.F_parts[color]
+    pool = tuple(z for z in cond.reservoir if part_of.get(z) == color)
 
-    def bump(counters):
-        cs = list(counters) if counters else [0] * d.k
-        cs[color] += 1
-        return tuple(cs)
-
-    def commit(extra, cert):
+    def commit(extra) -> D2Condition:
         new_parts = list(cond.F_parts)
         new_parts[color] = tuple(sorted(set(f_color) | set(extra)))
         top = max((x for p in new_parts for x in p), default=-1)
         survivors = tuple(z for z in cond.reservoir if z > top)
-        new_cond = D2Condition(tuple(new_parts), cond.I + 1, survivors, window)
-        decided = dict(state.decided)
-        decided[label] = {"stage": stage, **cert}
-        counters = bump(state.counters)
-        cert = dict(cert)
-        cert["counters"] = list(counters)
-        rec = StageRecord(stage, label, CASE1, condition_dict(new_cond), cert)
-        return D2State(new_cond, decided, state.blocked, counters), rec
+        return D2Condition(tuple(new_parts), cond.I + 1, survivors, window)
 
     if kind == "E":
-        need = e - len(f_color)
-        if need <= 0:
-            return commit((), {"E": [], "answer": "yes"})
+        need = max(e - len(f_color), 0)
 
-        def compat(piece: frozenset) -> bool:
+        def holds_need(piece: frozenset) -> bool:
             return sum(1 for z in piece if part_of.get(z) == color) >= need
-    else:
-        status = query_free_status(e, window + 1)
 
-        @lru_cache(maxsize=None)
-        def compat(piece: frozenset) -> bool:
-            if status[0] == "diverges":
-                return False
-            if status[0] == "halts":
-                sigma = status[1]
-                if sigma <= (max(f_color) + 1 if f_color else 1):
-                    return True
-                return any(z >= sigma - 1 and part_of.get(z) == color
-                           for z in piece)
-            pool = tuple(sorted(z for z in piece if part_of.get(z) == color))
-            w, _ = find_halt_witness(e, f_color, pool,
-                                     subset_width=config.subset_width)
-            return w is not None
+        compat = holds_need if need else None  # a met size needs no search
 
-    try:
-        bad = _find_bad_partition(cond.reservoir, d.k, compat,
-                                  config.partition_cap)
-    except PartitionCapExceeded:
-        cert = {"reason": "partition cap exceeded", "cap": config.partition_cap}
-        blocked = state.blocked + (label,)
-        rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return D2State(cond, state.decided, blocked, state.counters), rec
-
-    if bad is None:
-        pool = tuple(z for z in cond.reservoir if part_of.get(z) == color)
-        if kind == "E":
+        def witness():
             extra = pool[:need]
             if len(extra) == need:
-                return commit(extra, {"E": list(extra), "answer": "yes"})
-        else:
+                return commit(extra), {"E": list(extra), "answer": "yes"}
+    else:
+        compat = halt_compat(
+            e, f_color, window, config.subset_width,
+            lambda piece: (tuple(sorted(z for z in piece
+                                        if part_of.get(z) == color)),),
+            lambda z: part_of.get(z) == color)
+
+        def witness():
             w, search = find_halt_witness(e, f_color, pool,
                                           subset_width=config.subset_width)
             if w is not None:
-                cert = {"E": list(w.added), "steps": w.steps, "use": w.use,
-                        "value": w.value, "oracle": list(w.members),
-                        "answer": "yes", "search": search}
-                return commit(w.added, cert)
-        cert = {"reason": "question answered yes but no class witness found"}
-        blocked = state.blocked + (label,)
-        rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return D2State(cond, state.decided, blocked, state.counters), rec
+                return commit(w.added), halt_cert(w, search)
 
-    if kind == "E":
-        # a size requirement cannot be forced negatively, only starved by
-        # the finite window; stall it without touching the reservoir
-        cert = {"reason": "no piece holds enough of the part; stalled",
-                "partition": [list(p) for p in bad]}
-        blocked = state.blocked + (label,)
-        rec = StageRecord(stage, label, ABORT, condition_dict(cond), cert)
-        return D2State(cond, state.decided, blocked, state.counters), rec
-
-    # Case 2: restrict to an infinite piece; the requirement is settled
-    # negatively on this reservoir (over an empty one, nothing is selected)
-    kept, cert = restrict_to_piece(cond.reservoir, window, bad)
-    new_cond = cond
-    if kept is not None:
-        new_cond = D2Condition(cond.F_parts, cond.I + 1, kept, window)
-    counters = bump(state.counters)
-    cert.update(
-        answer="no", F_at_decision=list(f_color),
-        pool_at_decision=[z for z in cond.reservoir
-                          if part_of.get(z) == color],
-        search={"subset_width": config.subset_width},
-        counters=list(counters))
-    decided = dict(state.decided)
-    decided[label] = {"stage": stage, **cert}
-    requirement = f"N_{e}^{color}"
-    rec = StageRecord(stage, requirement, CASE2, condition_dict(new_cond), cert)
-    return D2State(new_cond, decided, state.blocked, counters), rec
+    return force_step(
+        state, stage, label, d.k, config.partition_cap, compat, witness,
+        lambda kept: D2Condition(cond.F_parts, cond.I + 1, kept, window),
+        {"F_at_decision": list(f_color), "pool_at_decision": list(pool),
+         "search": {"subset_width": config.subset_width}},
+        "no piece holds enough of the part; stalled", color)
 
 
 class InconclusiveSelection(RuntimeError):
@@ -249,25 +181,14 @@ def select_color(t: Transcript, horizon: int) -> int:
 def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
     config = config or D2Config()
-    state = D2State(initial_d2_condition(d, config),
-                    counters=(0,) * d.k)
-    t = Transcript(
-        kind="d2",
-        instance_hash=partition_digest(d),
-        config={
+    state = State(initial_d2_condition(d, config), counters=(0,) * d.k)
+    t = run_stages(
+        "d2", partition_digest(d), {
             "stages": stages, "window": state.condition.window_bound,
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": d.k,
-        },
-    )
-    for s in range(stages):
-        state, rec = d2_step(state, d, config, s)
-        t.stages.append(rec)
-        if not state.condition.valid():
-            raise AssertionError("condition invariant broken")
-        if sum(state.counters) > s + 1:
-            raise AssertionError("counter budget exceeded")
+        }, state, lambda st, s: d2_step(st, d, config, s), stages)
     color = select_color(t, stages)
     b = state.condition.F_parts[color]
     t.extraction = {

@@ -18,7 +18,6 @@ from .base import (
     CASE2,
     CohCondition,
     D2Condition,
-    EmCondition,
     Transcript,
     bounded_halt,
     extends,
@@ -51,15 +50,10 @@ class AuditReport:
 
 
 def _condition_from_dict(kind: str, d: Dict):
+    rest = (d["I"], tuple(d["reservoir"]), d["window_bound"])
     if kind == "d2":
-        return D2Condition(
-            F_parts=tuple(tuple(p) for p in d["F_parts"]),
-            I=d["I"], reservoir=tuple(d["reservoir"]),
-            window_bound=d["window_bound"],
-        )
-    cls = CohCondition if kind == "coh" else EmCondition
-    return cls(F=tuple(d["F"]), I=d["I"], reservoir=tuple(d["reservoir"]),
-               window_bound=d["window_bound"])
+        return D2Condition(tuple(tuple(p) for p in d["F_parts"]), *rest)
+    return CohCondition(tuple(d["F"]), *rest)
 
 
 def _program_of(requirement: str) -> int:
@@ -71,11 +65,7 @@ def _check_chain(t: Transcript, report: AuditReport):
     prev = None
     for rec in t.stages:
         cond = _condition_from_dict(t.kind, rec.condition)
-        if t.kind == "d2":
-            committed = [x for p in cond.F_parts for x in p]
-        else:
-            committed = list(cond.F)
-        if cond.reservoir and committed and max(committed) >= min(cond.reservoir):
+        if not cond.valid():
             report.add(REFUTED, "committed set reaches into the reservoir",
                        rec.stage, rec.requirement)
         if prev is not None:
@@ -89,9 +79,9 @@ def _check_chain(t: Transcript, report: AuditReport):
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-def _replay_positive(rec, report: AuditReport, fuel_scale: int = 1):
+def _replay_positive(rec, report: AuditReport):
     cert = rec.certificates
-    out = bounded_halt(_program_of(rec.requirement), cert["oracle"], fuel_scale)
+    out = bounded_halt(_program_of(rec.requirement), cert["oracle"])
     if (out.tag == HALTED and out.steps == cert["steps"]
             and out.use == cert["use"] and out.value == cert["value"]):
         report.add(CERTIFIED, "halting certificate replays",
@@ -124,7 +114,7 @@ def _recheck_negative(rec, report: AuditReport, audit_fuel: int):
 
 
 def _jump_ledger(t: Transcript, extracted, report: AuditReport,
-                 audit_fuel: int, color: Optional[int] = None):
+                 color: Optional[int] = None):
     """Decided R/N entries against the extracted set: positives must replay
     on the extracted prefix verbatim, negatives must stay divergent on it.
     For part-wise runs only the selected color's entries concern the
@@ -163,7 +153,10 @@ def _jump_ledger(t: Transcript, extracted, report: AuditReport,
 
 def verify_transcript(t: Transcript, audit_fuel: int = 2,
                       instance=None) -> AuditReport:
-    """Re-check a transcript; `audit_fuel` scales every bounded replay.
+    """Re-check a transcript.  `audit_fuel` widens the re-search of each
+    negative decision: its subset width is the recorded one plus
+    `audit_fuel`.  Positive certificates replay at the fuel bound they
+    claim, which is part of the claim, not a budget.
 
     `instance` (the coloring or partition the run consumed) enables the
     semantic checks: fallowness for EM, part membership for D2,
@@ -211,9 +204,9 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             _recheck_negative(rec, report, audit_fuel)
 
     if t.kind == "coh":
-        _jump_ledger(t, t.extraction.get("C", []), report, audit_fuel)
+        _jump_ledger(t, t.extraction.get("C", []), report)
     elif t.kind == "em":
-        _jump_ledger(t, t.extraction.get("B", []), report, audit_fuel)
+        _jump_ledger(t, t.extraction.get("B", []), report)
         if instance is not None:
             b = t.extraction.get("B", [])
             fr = fallow_check(instance, b)
@@ -229,7 +222,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     elif t.kind == "d2":
         color = t.extraction.get("color")
         b = t.extraction.get("B", [])
-        _jump_ledger(t, b, report, audit_fuel, color=color)
+        _jump_ledger(t, b, report, color=color)
         if instance is not None and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
             if off:
