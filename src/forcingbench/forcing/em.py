@@ -5,6 +5,15 @@ density, separation, fallowness of F, one-step fallowness F ∪ {z}, and
 tail-color constancy c(x, z) for x in F across the reservoir.  Stages run
 on the shared skeleton `base.force_step`; a piece is extendable when some
 limit class of it holds a valid extension (fallow now and in the limit).
+
+The fallowness checks are incremental.  Every committed F passed
+`valid_em_extension` against the run's limit colors when it was committed:
+F starts as (), and E- and R-witnesses alike are committed only through
+that check.  So a candidate F ∪ E needs scanning only on the triples and
+limit pairs through an element of E outside F.  The limit colors are
+worked out once per run, since the coloring and the window do not change
+during it, and the clause (iv) and (v) answers are kept per run, since
+Case-2 narrowing asks them again about the same F.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .base import (
     limit_color,
     pair_value,
     run_stages,
-    settle,
     stabilization_point,
 )
 # re-exported: the tests and perfbench's tracer reach the bad-partition
@@ -55,45 +63,76 @@ def coloring_digest(c: Coloring) -> str:
 def valid_em_extension(c: Coloring, F, E, limits) -> bool:
     """F ∪ E stays fallow now and against every later element: the actual
     triple condition on F ∪ E plus the limit-color condition
-    lim(x) ∈ {c(x,y), lim(y)} for all pairs, which is what any future
-    element beyond all stabilization points will see."""
-    s = tuple(sorted(set(F) | set(E)))
-    if not fallow_check(c, s).ok:
-        return False
-    for a in range(len(s)):
-        for b in range(a + 1, len(s)):
-            x, y = s[a], s[b]
+    lim(x) ∈ {c(x,y), lim(y)} for all pairs x < y, which is what any future
+    element beyond all stabilization points will see.
+
+    Precondition: F itself meets both conditions, as every committed F of
+    a run does (see the module docstring).  Only what E adds is scanned:
+    the elements of E outside F join one at a time, each checked against F
+    and the new elements before it, which covers every triple with one,
+    two or three new elements exactly once."""
+    val = pair_value(c)
+    s = list(F)
+    for z in sorted(set(E) - set(F)):
+        if not _fallow_through(val, s, z):
+            return False
+        for w in s:
+            x, y = min(w, z), max(w, z)
             lx, ly = limits.get(x), limits.get(y)
             if lx is None or ly is None:
                 return False
             if lx not in (c.value(x, y), ly):
                 return False
+        s.append(z)
     return True
 
 
-def _fallow_with(c: Coloring, elems, z) -> bool:
-    """Triples through one extra element only; the base set is checked
-    separately."""
-    val = pair_value(c)
+def _fallow_through(val, elems, z) -> bool:
+    """No triple of elems ∪ {z} through z breaks fallowness: in each, the
+    outer pair's color is one of the two inner pairs' colors."""
+    elems = sorted(elems)
+    to_z = [val(x, z) if x < z else val(z, x) for x in elems]
     for a in range(len(elems)):
+        x, xz = elems[a], to_z[a]
         for b in range(a + 1, len(elems)):
-            x, y, w = sorted((elems[a], elems[b], z))
-            if val(x, w) not in (val(x, y), val(y, w)):
+            y, yz = elems[b], to_z[b]
+            xy = val(x, y)
+            if z > y:
+                ok = xz in (xy, yz)
+            elif z > x:
+                ok = xy in (xz, yz)
+            else:
+                ok = yz in (xz, xy)
+            if not ok:
                 return False
     return True
 
 
-def em_clause_flags(c: Coloring, F, reservoir, density_min) -> Tuple[str, ...]:
+def em_clause_flags(c: Coloring, F, reservoir, density_min,
+                    memo: Optional[Dict] = None) -> Tuple[str, ...]:
+    """The clause tags (F, reservoir) meets.  `memo`, one dict per run,
+    keeps each fallowness answer: clause (iv) under (F, None), clause (v)'s
+    one-step check of z under (F, z)."""
+    memo = {} if memo is None else memo
+    F = tuple(F)
+
+    def fallow(z=None) -> bool:
+        key = (F, z)
+        if key not in memo:
+            memo[key] = (fallow_check(c, F).ok if z is None
+                         else _fallow_through(pair_value(c), F, z))
+        return memo[key]
+
     flags = []
     max_f = max(F) if F else -1
     if sum(1 for z in reservoir if z > max_f) >= density_min:
         flags.append("ii-reservoir-dense")
     if not F or not reservoir or max_f < min(reservoir):
         flags.append("iii-separated")
-    base_fallow = fallow_check(c, F).ok
+    base_fallow = fallow()
     if base_fallow:
         flags.append("iv-fallow")
-    if base_fallow and all(_fallow_with(c, F, z) for z in reservoir):
+    if base_fallow and all(fallow(z) for z in reservoir):
         flags.append("v-one-step-fallow")
     if all(
         len({c.value(x, z) for z in reservoir if z > x}) <= 1 for x in F
@@ -102,12 +141,14 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min) -> Tuple[str, ...]:
     return tuple(flags)
 
 
-def initial_em_condition(c: Coloring, config: EmConfig) -> CohCondition:
+def initial_em_condition(c: Coloring, config: EmConfig,
+                         memo: Dict) -> CohCondition:
     window = min(config.window, c.bound)
     members = tuple(range(window))
     return CohCondition(
         F=(), I=0, reservoir=members, window_bound=window,
-        precondition_flags=em_clause_flags(c, (), members, config.density_min),
+        precondition_flags=em_clause_flags(c, (), members, config.density_min,
+                                           memo),
     )
 
 
@@ -127,8 +168,10 @@ def _next_em_requirement(state: State) -> Optional[str]:
     return None
 
 
-def em_step(state: State, c: Coloring, config: EmConfig,
-            stage: int) -> Optional[StageRecord]:
+def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
+            limits: Dict[int, int], memo: Dict) -> Optional[StageRecord]:
+    """One stage; `limits` maps each column of the window that has a limit
+    color to it, and `memo` is the run's `em_clause_flags` memo."""
     cond = state.condition
     label = _next_em_requirement(state)
     if label is None:
@@ -136,11 +179,6 @@ def em_step(state: State, c: Coloring, config: EmConfig,
     kind, _, num = label.partition("_")
     n = int(num)
     F, window = cond.F, cond.window_bound
-    limits: Dict[int, int] = {}
-    for z in range(window):
-        cl = limit_color(c, z, window - 1)
-        if cl is not None:
-            limits[z] = cl.color
 
     def classes(members):
         # the limit classes, where Case 1 pulls its witnesses from
@@ -154,7 +192,8 @@ def em_step(state: State, c: Coloring, config: EmConfig,
         m = stabilization_point(c, new_f, window) if new_f else 0
         top = max(new_f) if new_f else -1
         survivors = tuple(z for z in cond.reservoir if z >= m and z > top)
-        flags = em_clause_flags(c, new_f, survivors, config.density_min)
+        flags = em_clause_flags(c, new_f, survivors, config.density_min,
+                                memo)
         new_cond = CohCondition(tuple(sorted(new_f)), cond.I + 1, survivors,
                                 window, flags)
         return new_cond, {**cert, "m": m, "class": part_class}
@@ -186,7 +225,7 @@ def em_step(state: State, c: Coloring, config: EmConfig,
         state, stage, label, c.k, config.partition_cap, compat, witness,
         lambda kept: CohCondition(
             F, cond.I + 1, kept, window,
-            em_clause_flags(c, F, kept, config.density_min)),
+            em_clause_flags(c, F, kept, config.density_min, memo)),
         {"F_at_decision": list(F),
          "search": {"subset_width": config.subset_width}},
         "no extendable piece; requirement stalled")
@@ -229,15 +268,23 @@ def _em_e_witness(c, cond, limits, need, config):
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
     config = config or EmConfig()
-    state = State(initial_em_condition(c, config))
+    memo: Dict = {}  # every cache of the run lives here or in `limits`
+    state = State(initial_em_condition(c, config, memo))
+    window = state.condition.window_bound
+    limits: Dict[int, int] = {}
+    for z in range(window):
+        cl = limit_color(c, z, window - 1)
+        if cl is not None:
+            limits[z] = cl.color
     t = run_stages(
         "em", coloring_digest(c), {
-            "stages": stages, "window": state.condition.window_bound,
+            "stages": stages, "window": window,
             "density_min": config.density_min,
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": c.k,
-        }, state, lambda st, s: em_step(st, c, config, s), stages)
+        }, state, lambda st, s: em_step(st, c, config, s, limits, memo),
+        stages)
     report = fallow_check(c, state.condition.F)
     t.extraction = {
         "B": list(state.condition.F),

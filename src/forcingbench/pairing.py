@@ -46,7 +46,3 @@ def encode_bits(bits: Sequence[int]) -> int:
             packed |= 1 << i
     return cantor(len(bits), packed)
 
-
-def decode_bits(code: int) -> Tuple[int, ...]:
-    length, packed = uncantor(code)
-    return tuple((packed >> i) & 1 for i in range(length))

@@ -86,25 +86,6 @@ def halt_at_step(k: int) -> OracleProgram:
 
 
 @lru_cache(maxsize=None)
-def halt_if_any_member_above(threshold: int, scan_bound: int) -> OracleProgram:
-    """Halts iff some oracle index in (threshold, scan_bound] has bit 1.
-
-    The scan is bounded so the program never queries past scan_bound; it
-    diverges when no such element exists.
-    """
-    src = []
-    for i in range(threshold + 1, scan_bound + 1):
-        src.append(f"set r1 {i}")
-        src.append("qry r1")
-        src.append(f"jz r1 next{i}")
-        src.append("jmp done")
-        src.append(f"next{i}:")
-    src.append("spin: jmp spin")
-    src.append("done: halt r1")
-    return assemble("\n".join(src))
-
-
-@lru_cache(maxsize=None)
 def mod_member_decider(k: int) -> OracleProgram:
     """Total 0/1 decider for the multiples of k (generalizes EVENS_DECIDER)."""
     if k < 1:

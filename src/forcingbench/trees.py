@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .machine import (
-    EMPTY_WINDOW,
-    HALTED,
-    OUT_OF_FUEL,
-    OracleWindow,
-    run_program,
-)
-from .pairing import encode_bits
+from .machine import HALTED, OracleWindow, run_program
 
 MAX_DEPTH = 24
 
@@ -26,10 +19,6 @@ Node = Tuple[int, ...]
 
 class NoPathError(RuntimeError):
     """The tree died before the requested depth."""
-
-
-class InconclusiveLevelError(RuntimeError):
-    """A membership program ran out of fuel on some node."""
 
 
 @dataclass(frozen=True)
@@ -70,21 +59,6 @@ class ExcludedSubstringTree:
 class FullTree:
     def accepts(self, node: Node) -> bool:
         return True
-
-
-@dataclass(frozen=True)
-class ProgramTree:
-    """Membership decided by a program on the string code, within fuel."""
-
-    membership: int
-    fuel: int = 256
-    oracle: OracleWindow = EMPTY_WINDOW
-
-    def accepts(self, node: Node) -> bool:
-        out = run_program(self.membership, encode_bits(node), self.oracle, self.fuel)
-        if out.tag == OUT_OF_FUEL:
-            raise InconclusiveLevelError(f"membership out of fuel at node {node}")
-        return out.tag == HALTED and out.value == 1
 
 
 def tree_level(t, depth: int, orphans: Optional[List[Node]] = None) -> Set[Node]:
