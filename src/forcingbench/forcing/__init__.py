@@ -8,8 +8,8 @@ from .base import (  # noqa: F401
     extends,
     fallow_check,
 )
-from .coh import CohConfig, coh_step, run_coh  # noqa: F401
-from .d2 import D2Config, Delta2Partition, d2_step, run_d2, select_color  # noqa: F401
-from .em import EmConfig, em_step, run_em  # noqa: F401
+from .coh import CohConfig, run_coh  # noqa: F401
+from .d2 import D2Config, Delta2Partition, run_d2, select_color  # noqa: F401
+from .em import EmConfig, run_em  # noqa: F401
 from .pipeline import PipelineConfig, rt2_pipeline  # noqa: F401
 from .verify import AuditReport, verify_transcript  # noqa: F401

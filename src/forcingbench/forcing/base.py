@@ -72,10 +72,10 @@ class D2Condition:
         return True
 
 
-def _committed(cond) -> Tuple[int, ...]:
+def _committed(cond) -> set:
     if isinstance(cond, D2Condition):
-        return tuple(sorted(x for part in cond.F_parts for x in part))
-    return cond.F
+        return set().union(*cond.F_parts)
+    return set(cond.F)
 
 
 def extends(p, q, report: Optional[List[str]] = None) -> bool:
@@ -89,7 +89,7 @@ def extends(p, q, report: Optional[List[str]] = None) -> bool:
                 f"incomparable windows ({p.window_bound} vs {q.window_bound})"
             )
         return False
-    fp, fq = set(_committed(p)), set(_committed(q))
+    fp, fq = _committed(p), _committed(q)
     if not fp >= fq:
         return False
     rq = set(q.reservoir)
@@ -144,12 +144,12 @@ def finite_oracle(members) -> OracleWindow:
     return OracleWindow.from_set(ms, bound)
 
 
-def bounded_halt(e: int, members, fuel_scale: int = 1):
+def bounded_halt(e: int, members):
     """Self-halting of program e with a finite-set oracle, fuel tied to the
     set's maximum: the use and step count both stay below the bound, so the
     outcome is preserved by any end-extension of the set."""
     window = finite_oracle(members)
-    return run_program(e, e, window, fuel_scale * window.bound)
+    return run_program(e, e, window, window.bound)
 
 
 def queries_oracle(e: int) -> bool:
@@ -182,7 +182,7 @@ class HaltWitness:
 
 
 def find_halt_witness(e, F, reservoir, subset_width: int = 8,
-                      extra_filter=None, fuel_scale: int = 1):
+                      extra_filter=None):
     """Bounded search for finite D inside the reservoir making program e
     self-halt over F ∪ D.
 
@@ -190,12 +190,14 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
     members plus every singleton, in a fixed order (empty set first, then
     increasing bitmask / increasing singleton).  `extra_filter(F ∪ D)` can
     veto candidates (fallowness constraints).  Query-free programs shortcut
-    to a single fuel question.  Returns (HaltWitness | None, search record).
+    to a single fuel question.  Returns (HaltWitness | None, search record);
+    the record's `fuel_scale` is always 1, since the fuel is the oracle
+    bound itself.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
         "singletons": len(reservoir),
-        "fuel_scale": fuel_scale,
+        "fuel_scale": 1,
     }
     base = tuple(sorted(F))
 
@@ -203,7 +205,7 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
         s = tuple(sorted(set(base) | set(added)))
         if extra_filter is not None and not extra_filter(s):
             return None
-        out = bounded_halt(e, s, fuel_scale)
+        out = bounded_halt(e, s)
         if out.tag == HALTED:
             return HaltWitness(s, tuple(sorted(added)), out.steps, out.use, out.value)
         return None

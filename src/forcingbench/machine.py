@@ -19,11 +19,20 @@ operands are taken mod 4 at execution time so the numbering stays bijective):
 
 An instruction codes as 8 * cantor(a, b) + op; a program codes as the
 bijective list encoding of its instruction codes.
+
+Execution cost: `decode_program` decodes each index once and keeps the
+frozen program in a bounded cache, so a program asked about again and
+again (every bounded halting question, every audit replay) is decoded
+once.  There is one interpreter loop, `Machine.run`, which keeps the
+machine's state in locals until it stops; `step` is `run(1)`.  A pc past
+the end of the code idles forever, so `run` burns the fuel left at once
+and reports the same step count as stepping through it would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from .pairing import cantor, decode_list, encode_list, uncantor
@@ -84,6 +93,7 @@ class OracleProgram:
         return encode_list([ins.encode() for ins in self.code])
 
 
+@lru_cache(maxsize=4096)
 def decode_program(index: int) -> OracleProgram:
     return OracleProgram(tuple(decode_instruction(c) for c in decode_list(index)))
 
@@ -100,8 +110,11 @@ class OracleWindow:
 
     @staticmethod
     def from_set(members: Iterable[int], bound: int) -> "OracleWindow":
-        mem = set(members)
-        return OracleWindow(tuple(1 if n in mem else 0 for n in range(bound)))
+        bits = [0] * bound
+        for n in members:
+            if 0 <= n < bound:
+                bits[n] = 1
+        return OracleWindow(tuple(bits))
 
     def members(self) -> Tuple[int, ...]:
         return tuple(n for n, b in enumerate(self.bits) if b)
@@ -148,48 +161,66 @@ class Machine:
 
     def step(self) -> bool:
         """Execute one instruction; False once halted or oracle-starved."""
+        return self.run(1)
+
+    def run(self, fuel: int) -> bool:
+        """Execute up to `fuel` instructions; False once halted or
+        oracle-starved.  The state lives in locals until the loop stops."""
         if self.outcome_tag is not None:
             return False
         code = self.program.code
-        self.steps += 1
-        if self.pc >= len(code):
-            return True  # diverging idle; burns fuel without progress
-        ins = code[self.pc]
-        op = ins.op
+        size = len(code)
+        bits = self.window.bits
+        bound = len(bits)
         regs = self.regs
-        if op == OP_HALT:
-            self.outcome_tag = HALTED
-            self.value = regs[ins.a % NUM_REGS]
-            return False
-        if op == OP_SET:
-            regs[ins.a % NUM_REGS] = ins.b
-        elif op == OP_INC:
-            regs[ins.a % NUM_REGS] += 1
-        elif op == OP_DEC:
-            r = ins.a % NUM_REGS
-            if regs[r]:
-                regs[r] -= 1
-        elif op == OP_ADD:
-            regs[ins.a % NUM_REGS] += regs[ins.b % NUM_REGS]
-        elif op == OP_JZ:
-            if regs[ins.a % NUM_REGS] == 0:
-                self.pc = ins.b
-                return True
-        elif op == OP_JMP:
-            self.pc = ins.a
-            return True
-        elif op == OP_QRY:
-            r = ins.a % NUM_REGS
-            idx = regs[r]
-            if idx >= self.window.bound:
-                self.outcome_tag = ORACLE_INSUFFICIENT
-                self.missing = idx
-                return False
-            if idx > self.max_query:
-                self.max_query = idx
-            regs[r] = self.window.bits[idx]
-        self.pc += 1
-        return True
+        pc = self.pc
+        steps = self.steps
+        max_query = self.max_query
+        stop = steps + fuel
+        running = True
+        while steps < stop:
+            if pc >= size:
+                steps = stop  # diverging idle; burns fuel without progress
+                break
+            steps += 1
+            ins = code[pc]
+            op = ins.op
+            if op == OP_HALT:
+                self.outcome_tag = HALTED
+                self.value = regs[ins.a % NUM_REGS]
+                running = False
+                break
+            if op == OP_SET:
+                regs[ins.a % NUM_REGS] = ins.b
+            elif op == OP_INC:
+                regs[ins.a % NUM_REGS] += 1
+            elif op == OP_DEC:
+                r = ins.a % NUM_REGS
+                if regs[r]:
+                    regs[r] -= 1
+            elif op == OP_ADD:
+                regs[ins.a % NUM_REGS] += regs[ins.b % NUM_REGS]
+            elif op == OP_JZ:
+                if regs[ins.a % NUM_REGS] == 0:
+                    pc = ins.b
+                    continue
+            elif op == OP_JMP:
+                pc = ins.a
+                continue
+            elif op == OP_QRY:
+                r = ins.a % NUM_REGS
+                idx = regs[r]
+                if idx >= bound:
+                    self.outcome_tag = ORACLE_INSUFFICIENT
+                    self.missing = idx
+                    running = False
+                    break
+                if idx > max_query:
+                    max_query = idx
+                regs[r] = bits[idx]
+            pc += 1
+        self.pc, self.steps, self.max_query = pc, steps, max_query
+        return running
 
     def outcome(self) -> RunOutcome:
         use = self.max_query + 1
@@ -216,9 +247,7 @@ def run_program(e, x: int, oracle: OracleWindow, fuel: int) -> RunOutcome:
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     m = Machine(_as_program(e), x, oracle)
-    for _ in range(fuel):
-        if not m.step():
-            break
+    m.run(fuel)
     return m.outcome()
 
 
