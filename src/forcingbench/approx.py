@@ -16,6 +16,7 @@ from .machine import (
     EMPTY_WINDOW,
     HALTED,
     ORACLE_INSUFFICIENT,
+    OracleProgram,
     OracleWindow,
     run_program,
 )
@@ -43,7 +44,8 @@ class SetPresentation:
     """A program-decided or table-given subset of the naturals, windowed."""
 
     window: OracleWindow
-    decider: Optional[int] = None  # program index, when program-presented
+    # program index or decoded program, when program-presented
+    decider: int | OracleProgram | None = None
     budget: int = 0
 
     @staticmethod
@@ -55,7 +57,8 @@ class SetPresentation:
         return SetPresentation(OracleWindow.from_set(members, bound))
 
     @staticmethod
-    def from_program(decider: int, bound: int, budget: int) -> "SetPresentation":
+    def from_program(decider: int | OracleProgram, bound: int,
+                     budget: int) -> "SetPresentation":
         bits = []
         for n in range(bound):
             out = run_program(decider, n, EMPTY_WINDOW, budget)

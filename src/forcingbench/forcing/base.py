@@ -21,6 +21,9 @@ every finite stage, and the window is itself a stage.  Without one (Case
 1) a witness is committed; with one (Case 2) an infinite piece of it is
 kept and the negative answer recorded.  Engines supply only their
 mathematics: requirement schedule, `compat`, witness finder and commit.
+The committed sets, `decided` and `blocked` only grow, so no requirement
+code below the first free one frees up again: the EM and D2 schedules
+scan from `State.cursor`, the code they last gave out.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class CohCondition:
     I: int  # number of reservoirs installed before this one in the run
     reservoir: Tuple[int, ...]  # sorted members inside the window
     window_bound: int
-    precondition_flags: Tuple[str, ...] = ()  # EM's verified clause tags
 
     def valid(self) -> bool:
         if self.F and self.reservoir:
@@ -350,16 +352,19 @@ def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
 
 def stabilization_point(c: Coloring, xs, window_bound: int) -> int:
     """Least m with c(x, y) constant for every listed x and all y in
-    [m, window_bound); exact on the window."""
+    [m, window_bound); exact on the window.  A column with no pair above it
+    inside the window reads no pair and gives window_bound - 1, where the
+    scan starts."""
     m = 0
+    top = window_bound - 1
     for x in xs:
-        top = window_bound - 1
-        final = c.value(x, top)
         mx = top
-        for y in range(top - 1, x, -1):
-            if c.value(x, y) != final:
-                break
-            mx = y
+        if x < top:
+            final = c.value(x, top)
+            for y in range(top - 1, x, -1):
+                if c.value(x, y) != final:
+                    break
+                mx = y
         m = max(m, mx)
     return m
 
@@ -443,6 +448,7 @@ class State:
     decided: Dict[str, Dict] = field(default_factory=dict)
     blocked: Tuple[str, ...] = ()
     counters: Tuple[int, ...] = ()  # D2's decisions per color
+    cursor: int = 0  # where EM's and D2's schedules resume their scan
 
 
 def settle(state: State, stage: int, label: str, branch: str, cond,

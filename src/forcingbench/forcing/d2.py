@@ -76,10 +76,12 @@ def requirement_order(code: int, k: int) -> List[str]:
 
 
 def _next_d2_requirement(state: State, k: int) -> Optional[str]:
+    """The least free label in (code, color) order, from the cursor on."""
     horizon = len(state.decided) + len(state.blocked) + 4
-    for code in range(2 * horizon):
+    for code in range(state.cursor, 2 * horizon):
         for label in requirement_order(code, k):
             if label not in state.decided and label not in state.blocked:
+                state.cursor = code
                 return label
     return None
 
@@ -97,17 +99,17 @@ def initial_d2_condition(d: Delta2Partition,
                        reservoir=tuple(range(window)), window_bound=window)
 
 
-def d2_step(state: State, d: Delta2Partition, config: D2Config,
-            stage: int) -> Optional[StageRecord]:
+def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
+            part_of: Tuple[int, ...]) -> Optional[StageRecord]:
+    """One stage; `part_of[z]` is the limit part of window member z."""
     cond = state.condition
     label = _next_d2_requirement(state, d.k)
     if label is None:
         return None
     kind, e, color = _parse_label(label)
     window = cond.window_bound
-    part_of = {z: d.limit_part(z) for z in range(window)}
     f_color = cond.F_parts[color]
-    pool = tuple(z for z in cond.reservoir if part_of.get(z) == color)
+    pool = tuple(z for z in cond.reservoir if part_of[z] == color)
 
     def commit(extra) -> D2Condition:
         new_parts = list(cond.F_parts)
@@ -120,7 +122,7 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config,
         need = max(e - len(f_color), 0)
 
         def holds_need(piece: frozenset) -> bool:
-            return sum(1 for z in piece if part_of.get(z) == color) >= need
+            return sum(1 for z in piece if part_of[z] == color) >= need
 
         compat = holds_need if need else None  # a met size needs no search
 
@@ -132,8 +134,8 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config,
         compat = halt_compat(
             e, f_color, window, config.subset_width,
             lambda piece: (tuple(sorted(z for z in piece
-                                        if part_of.get(z) == color)),),
-            lambda z: part_of.get(z) == color)
+                                        if part_of[z] == color)),),
+            lambda z: part_of[z] == color)
 
         def witness():
             w, search = find_halt_witness(e, f_color, pool,
@@ -182,13 +184,15 @@ def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
     config = config or D2Config()
     state = State(initial_d2_condition(d, config), counters=(0,) * d.k)
+    part_of = tuple(d.limit_part(z)
+                    for z in range(state.condition.window_bound))
     t = run_stages(
         "d2", partition_digest(d), {
             "stages": stages, "window": state.condition.window_bound,
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": d.k,
-        }, state, lambda st, s: d2_step(st, d, config, s), stages)
+        }, state, lambda st, s: d2_step(st, d, config, s, part_of), stages)
     color = select_color(t, stages)
     b = state.condition.F_parts[color]
     t.extraction = {

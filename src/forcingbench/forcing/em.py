@@ -1,19 +1,20 @@
 """Transitive-pattern (fallow) set construction from a stable coloring.
 
-Conditions (F, reservoir) carry the clause flags (ii)-(vi): reservoir
-density, separation, fallowness of F, one-step fallowness F ∪ {z}, and
-tail-color constancy c(x, z) for x in F across the reservoir.  Stages run
-on the shared skeleton `base.force_step`; a piece is extendable when some
-limit class of it holds a valid extension (fallow now and in the limit).
+Conditions are pairs (F, reservoir).  Stages run on the shared skeleton
+`base.force_step`; a piece is extendable when some limit class of it
+holds a valid extension (fallow now and in the limit).  The extraction
+records the clause flags (ii)-(vi) that the final condition meets:
+reservoir density, separation, fallowness of F, one-step fallowness
+F ∪ {z}, and tail-color constancy c(x, z) for x in F across the
+reservoir.
 
 The fallowness checks are incremental.  Every committed F passed
 `valid_em_extension` against the run's limit colors when it was committed:
 F starts as (), and E- and R-witnesses alike are committed only through
 that check.  So a candidate F ∪ E needs scanning only on the triples and
-limit pairs through an element of E outside F.  The limit colors are
-worked out once per run, since the coloring and the window do not change
-during it, and the clause (iv) and (v) answers are kept per run, since
-Case-2 narrowing asks them again about the same F.
+limit pairs through an element of E outside F.  The coloring and the
+window do not change during a run, so each column's limit color and
+stabilization point are worked out once per run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..approx import Coloring
 from .base import (
@@ -108,31 +109,21 @@ def _fallow_through(val, elems, z) -> bool:
     return True
 
 
-def em_clause_flags(c: Coloring, F, reservoir, density_min,
-                    memo: Optional[Dict] = None) -> Tuple[str, ...]:
-    """The clause tags (F, reservoir) meets.  `memo`, one dict per run,
-    keeps each fallowness answer: clause (iv) under (F, None), clause (v)'s
-    one-step check of z under (F, z)."""
-    memo = {} if memo is None else memo
+def em_clause_flags(c: Coloring, F, reservoir,
+                    density_min) -> Tuple[str, ...]:
+    """The clause tags (F, reservoir) meets."""
     F = tuple(F)
-
-    def fallow(z=None) -> bool:
-        key = (F, z)
-        if key not in memo:
-            memo[key] = (fallow_check(c, F).ok if z is None
-                         else _fallow_through(pair_value(c), F, z))
-        return memo[key]
-
     flags = []
     max_f = max(F) if F else -1
     if sum(1 for z in reservoir if z > max_f) >= density_min:
         flags.append("ii-reservoir-dense")
     if not F or not reservoir or max_f < min(reservoir):
         flags.append("iii-separated")
-    base_fallow = fallow()
+    base_fallow = fallow_check(c, F).ok
     if base_fallow:
         flags.append("iv-fallow")
-    if base_fallow and all(fallow(z) for z in reservoir):
+    val = pair_value(c)
+    if base_fallow and all(_fallow_through(val, F, z) for z in reservoir):
         flags.append("v-one-step-fallow")
     if all(
         len({c.value(x, z) for z in reservoir if z > x}) <= 1 for x in F
@@ -141,20 +132,10 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min,
     return tuple(flags)
 
 
-def initial_em_condition(c: Coloring, config: EmConfig,
-                         memo: Dict) -> CohCondition:
-    window = min(config.window, c.bound)
-    members = tuple(range(window))
-    return CohCondition(
-        F=(), I=0, reservoir=members, window_bound=window,
-        precondition_flags=em_clause_flags(c, (), members, config.density_min,
-                                           memo),
-    )
-
-
 def _next_em_requirement(state: State) -> Optional[str]:
+    """The least free code from the cursor on: 2n-2 is E+_n, 2e+1 R_e."""
     horizon = len(state.decided) + len(state.blocked) + len(state.condition.F)
-    for code in range(2 * horizon + 4):
+    for code in range(state.cursor, 2 * horizon + 4):
         if code % 2 == 0:
             label = f"E+_{code // 2 + 1}"
             if len(state.condition.F) >= code // 2 + 1:
@@ -164,14 +145,16 @@ def _next_em_requirement(state: State) -> Optional[str]:
             if label in state.decided:
                 continue
         if label not in state.blocked:
+            state.cursor = code
             return label
     return None
 
 
 def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
-            limits: Dict[int, int], memo: Dict) -> Optional[StageRecord]:
+            limits: Dict[int, int],
+            stab: Sequence[int]) -> Optional[StageRecord]:
     """One stage; `limits` maps each column of the window that has a limit
-    color to it, and `memo` is the run's `em_clause_flags` memo."""
+    color to it, and `stab[x]` is column x's stabilization point."""
     cond = state.condition
     label = _next_em_requirement(state)
     if label is None:
@@ -189,13 +172,11 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
         return valid_em_extension(c, F, set(s) - set(F), limits)
 
     def commit(new_f, cert, part_class):
-        m = stabilization_point(c, new_f, window) if new_f else 0
+        m = max((stab[x] for x in new_f), default=0)
         top = max(new_f) if new_f else -1
         survivors = tuple(z for z in cond.reservoir if z >= m and z > top)
-        flags = em_clause_flags(c, new_f, survivors, config.density_min,
-                                memo)
         new_cond = CohCondition(tuple(sorted(new_f)), cond.I + 1, survivors,
-                                window, flags)
+                                window)
         return new_cond, {**cert, "m": m, "class": part_class}
 
     if kind == "E+":
@@ -223,9 +204,7 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
 
     return force_step(
         state, stage, label, c.k, config.partition_cap, compat, witness,
-        lambda kept: CohCondition(
-            F, cond.I + 1, kept, window,
-            em_clause_flags(c, F, kept, config.density_min, memo)),
+        lambda kept: CohCondition(F, cond.I + 1, kept, window),
         {"F_at_decision": list(F),
          "search": {"subset_width": config.subset_width}},
         "no extendable piece; requirement stalled")
@@ -268,14 +247,15 @@ def _em_e_witness(c, cond, limits, need, config):
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
     config = config or EmConfig()
-    memo: Dict = {}  # every cache of the run lives here or in `limits`
-    state = State(initial_em_condition(c, config, memo))
-    window = state.condition.window_bound
+    window = min(config.window, c.bound)
+    state = State(CohCondition(F=(), I=0, reservoir=tuple(range(window)),
+                               window_bound=window))
     limits: Dict[int, int] = {}
     for z in range(window):
         cl = limit_color(c, z, window - 1)
         if cl is not None:
             limits[z] = cl.color
+    stab = [stabilization_point(c, (z,), window) for z in range(window)]
     t = run_stages(
         "em", coloring_digest(c), {
             "stages": stages, "window": window,
@@ -283,14 +263,15 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": c.k,
-        }, state, lambda st, s: em_step(st, c, config, s, limits, memo),
+        }, state, lambda st, s: em_step(st, c, config, s, limits, stab),
         stages)
-    report = fallow_check(c, state.condition.F)
+    final = state.condition
     t.extraction = {
-        "B": list(state.condition.F),
-        "fallow": report.ok,
+        "B": list(final.F),
+        "fallow": fallow_check(c, final.F).ok,
         "decided": state.decided,
         "blocked": list(state.blocked),
-        "final_flags": list(state.condition.precondition_flags),
+        "final_flags": list(em_clause_flags(c, final.F, final.reservoir,
+                                            config.density_min)),
     }
-    return t, tuple(state.condition.F)
+    return t, tuple(final.F)

@@ -108,9 +108,10 @@ def _family_from(doc: Dict) -> List[SetPresentation]:
     fam = []
     for entry in doc["sets"]:
         if "program" in entry:
-            prog = assemble(entry["program"])
+            # the program itself: its index squares once per instruction
             fam.append(SetPresentation.from_program(
-                prog.index, int(entry["bound"]), int(entry.get("budget", 512))))
+                assemble(entry["program"]), int(entry["bound"]),
+                int(entry.get("budget", 512))))
         elif "members" in entry:
             fam.append(SetPresentation.from_set(
                 [int(m) for m in entry["members"]], int(entry["bound"])))

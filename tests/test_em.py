@@ -32,6 +32,19 @@ def test_run_em_mod3():
     assert t.extraction["fallow"]
 
 
+def test_em_bound_above_window():
+    # the coloring runs past the window of 40, so the window's last column
+    # has a limit color and can be committed with no pair above it inside
+    # the window
+    for seed in range(5):
+        c = gen_stable_coloring(seed, bound=64)
+        t, b = run_em(c, 200)
+        assert t.config["window"] == 40 and c.bound == 64
+        assert is_fallow(c, b), seed
+        report = verify_transcript(t, audit_fuel=2, instance=c)
+        assert report.counts["refuted"] == 0, seed
+
+
 def test_em_generated_instances_fallow():
     for seed in range(3):
         c = gen_stable_coloring(seed)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from forcingbench import programs
 from forcingbench.approx import MalformedInstanceError
 from forcingbench.forcing import run_coh
 from forcingbench.forcing.coh import CohConfig
@@ -32,6 +33,7 @@ from forcingbench.harness.instances import (
 )
 from forcingbench.harness.oracles import BruteForceCapError
 from forcingbench.harness.transcripts import TranscriptFormatError
+from forcingbench.machine import disassemble
 from forcingbench.approx import SetPresentation
 
 from oracles import max_homogeneous
@@ -118,6 +120,18 @@ sets:
     inst = parse_instance(text)
     assert inst.kind == "RFamily"
     assert len(inst.payload) == 2
+
+
+def test_instance_long_program_set():
+    # 29 instructions: the program's pairing index would square its code
+    # once per instruction, so loading must not ask for it
+    text = "\n".join(
+        ["kind: RFamily", "sets:", "  - program: |"]
+        + ["      " + line for line in
+           disassemble(programs.mod_member_decider(12)).splitlines()]
+        + ["    bound: 64", "    budget: 512"])
+    inst = parse_instance(text)
+    assert inst.payload[0].window.members() == tuple(range(0, 64, 12))
 
 
 def test_transcript_emit_load_round_trip(tmp_path):
