@@ -44,9 +44,6 @@ class SetPresentation:
     """A program-decided or table-given subset of the naturals, windowed."""
 
     window: OracleWindow
-    # program index or decoded program, when program-presented
-    decider: int | OracleProgram | None = None
-    budget: int = 0
 
     @staticmethod
     def from_table(bits: Sequence[int]) -> "SetPresentation":
@@ -67,7 +64,7 @@ class SetPresentation:
                     f"decider not total 0/1-valued at n={n} within budget {budget}: {out.tag}"
                 )
             bits.append(out.value)
-        return SetPresentation(OracleWindow(tuple(bits)), decider=decider, budget=budget)
+        return SetPresentation(OracleWindow(tuple(bits)))
 
     def member(self, n: int) -> int:
         if n >= self.window.bound:

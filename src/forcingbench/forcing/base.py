@@ -350,22 +350,17 @@ def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
     return stable_color_limit(c, x, budget)
 
 
-def stabilization_point(c: Coloring, xs, window_bound: int) -> int:
-    """Least m with c(x, y) constant for every listed x and all y in
-    [m, window_bound); exact on the window.  A column with no pair above it
-    inside the window reads no pair and gives window_bound - 1, where the
-    scan starts."""
-    m = 0
-    top = window_bound - 1
-    for x in xs:
-        mx = top
-        if x < top:
-            final = c.value(x, top)
-            for y in range(top - 1, x, -1):
-                if c.value(x, y) != final:
-                    break
-                mx = y
-        m = max(m, mx)
+def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
+    """Least m with c(x, y) constant for all y in [m, window_bound); exact on
+    the window.  A column with no pair above it inside the window reads no
+    pair and gives window_bound - 1, where the scan starts."""
+    m = window_bound - 1
+    if x < m:
+        final = c.value(x, m)
+        for y in range(m - 1, x, -1):
+            if c.value(x, y) != final:
+                break
+            m = y
     return m
 
 

@@ -255,7 +255,7 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
         cl = limit_color(c, z, window - 1)
         if cl is not None:
             limits[z] = cl.color
-    stab = [stabilization_point(c, (z,), window) for z in range(window)]
+    stab = [stabilization_point(c, z, window) for z in range(window)]
     t = run_stages(
         "em", coloring_digest(c), {
             "stages": stages, "window": window,

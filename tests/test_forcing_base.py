@@ -135,16 +135,16 @@ def test_limit_color_uses_declared_bound():
 
 def test_stabilization_point_exact():
     c = Coloring.from_function(2, 12, lambda x, y: 1 if y < 5 else 0)
-    assert stabilization_point(c, [0, 1], 12) == 5
+    assert max(stabilization_point(c, x, 12) for x in (0, 1)) == 5
     const = Coloring.from_function(2, 8, lambda x, y: 1)
-    assert stabilization_point(const, [0], 8) == 1
+    assert stabilization_point(const, 0, 8) == 1
     # the top columns of the window: one pair above, then none; the
     # coloring reaches past the window, and no pair at or past it is read
     wide = Coloring.from_function(2, 16, lambda x, y: 1 if y < 12 else 0)
-    assert stabilization_point(wide, [10], 12) == 11
-    assert stabilization_point(wide, [11], 12) == 11
-    assert stabilization_point(wide, [0, 11], 12) == 11
-    assert stabilization_point(c, [11], 12) == 11
+    assert stabilization_point(wide, 10, 12) == 11
+    assert stabilization_point(wide, 11, 12) == 11
+    assert max(stabilization_point(wide, x, 12) for x in (0, 11)) == 11
+    assert stabilization_point(c, 11, 12) == 11
 
 
 def test_transcript_round_trip():

@@ -7,8 +7,8 @@ manifest `transcript_manifest.json` beside this file.  The manifest also
 keeps a short digest of every stage, so a changed transcript is reported
 with its first differing stage.
 
-    python3 tools/transcript_manifest.py              # check every family
-    python3 tools/transcript_manifest.py --family em  # check one family
+    python3 tools/transcript_manifest.py          # check every family
+    python3 tools/transcript_manifest.py --write  # regenerate the manifest
 
 Exits 1 when any entry differs.  `--write` regenerates the manifest; that
 is a declared behaviour change and every changed hash belongs in
@@ -119,16 +119,11 @@ def first_difference(want, got) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--family", action="append", choices=sorted(FAMILIES),
-                    help="check only this family (repeatable)")
     ap.add_argument("--write", action="store_true",
                     help="regenerate the manifest instead of checking it")
     args = ap.parse_args(argv)
-    families = args.family or list(FAMILIES)
-    got = {f"{f}-{s}": entry(f, s) for f in families for s in FAMILIES[f]}
+    got = {f"{f}-{s}": entry(f, s) for f in FAMILIES for s in FAMILIES[f]}
     if args.write:
-        if args.family:
-            ap.error("--write regenerates the whole manifest")
         MANIFEST.write_text("{\n" + ",\n".join(
             f"{json.dumps(name)}: {json.dumps(got[name], sort_keys=True)}"
             for name in sorted(got)) + "\n}\n")
