@@ -22,8 +22,8 @@ every finite stage, and the window is itself a stage.  Without one (Case
 kept and the negative answer recorded.  Engines supply only their
 mathematics: requirement schedule, `compat`, witness finder and commit.
 The committed sets, `decided` and `blocked` only grow, so no requirement
-code below the first free one frees up again: the EM and D2 schedules
-scan from `State.cursor`, the code they last gave out.
+code below the first free one frees up again: every engine's schedule
+scans from `State.cursor`, the code it last gave out.
 """
 
 from __future__ import annotations
@@ -113,29 +113,32 @@ class FallowReport:
     violation: Optional[Tuple[int, int, int]] = None
 
 
-def pair_value(c: Coloring):
-    # direct table access; c.value dominates the triple scans otherwise
-    if c.table is not None:
-        table = c.table
-
-        def get(x, y):
-            return table[x][y - x - 1]
-
-        return get
-    return c.value
+def color_rows(c: Coloring, elems) -> List[List[Optional[int]]]:
+    """rows[a][b] = c(elems[a], elems[b]) for increasing `elems`, in both
+    orders; the diagonal is None.  Each pair is read once, straight from the
+    table when there is one."""
+    table, n = c.table, len(elems)
+    rows = [[None] * n for _ in range(n)]
+    for a, x in enumerate(elems):
+        for b in range(a + 1, n):
+            y = elems[b]
+            rows[a][b] = rows[b][a] = (c.value(x, y) if table is None
+                                       else table[x][y - x - 1])
+    return rows
 
 
 def fallow_check(c: Coloring, s) -> FallowReport:
     """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
-    if any."""
+    if any, scanning every triple; each pair is read once, by `color_rows`."""
     elems = sorted(s)
-    val = pair_value(c)
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            for d in range(b + 1, len(elems)):
-                x, y, z = elems[a], elems[b], elems[d]
-                if val(x, z) not in (val(x, y), val(y, z)):
-                    return FallowReport(False, (x, y, z))
+    rows, n = color_rows(c, elems), len(elems)
+    for a, to_x in enumerate(rows):
+        for b in range(a + 1, n):
+            xy, to_y = to_x[b], rows[b]
+            for d in range(b + 1, n):
+                xz = to_x[d]
+                if xz != xy and xz != to_y[d]:
+                    return FallowReport(False, (elems[a], elems[b], elems[d]))
     return FallowReport(True)
 
 
@@ -443,7 +446,7 @@ class State:
     decided: Dict[str, Dict] = field(default_factory=dict)
     blocked: Tuple[str, ...] = ()
     counters: Tuple[int, ...] = ()  # D2's decisions per color
-    cursor: int = 0  # where EM's and D2's schedules resume their scan
+    cursor: int = 0  # where the engine's schedule resumes its scan
 
 
 def settle(state: State, stage: int, label: str, branch: str, cond,

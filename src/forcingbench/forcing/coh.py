@@ -62,6 +62,8 @@ def _above(cond: CohCondition, new_f) -> CohCondition:
 
 def _next_requirement(state: State, family_size: int, stage: int,
                       schedule: str) -> Optional[str]:
+    """`State.cursor` is the round `t` (least) or the R index
+    (committed-columns) last given out: F and `decided` only grow."""
     cond = state.condition
     if schedule == "committed-columns":
         for x in cond.F:
@@ -69,11 +71,11 @@ def _next_requirement(state: State, family_size: int, stage: int,
                 return f"D_{x}"
         if stage % 2 == 0:
             return f"E_{len(cond.F) + 1}"
-        e = 0
-        while f"R_{e}" in state.decided:
-            e += 1
-        return f"R_{e}"
-    for t in range(2 * stage + 2):
+        while f"R_{state.cursor}" in state.decided:
+            state.cursor += 1
+        return f"R_{state.cursor}"
+    for t in range(state.cursor, 2 * stage + 2):
+        state.cursor = t
         if t < family_size and f"D_{t}" not in state.decided:
             return f"D_{t}"
         if len(cond.F) < t + 1:

@@ -8,13 +8,18 @@ reservoir density, separation, fallowness of F, one-step fallowness
 F ∪ {z}, and tail-color constancy c(x, z) for x in F across the
 reservoir.
 
-The fallowness checks are incremental.  Every committed F passed
-`valid_em_extension` against the run's limit colors when it was committed:
-F starts as (), and E- and R-witnesses alike are committed only through
+The fallowness checks are incremental.  Every committed F passed the
+extension check against the run's limit colors when it was committed: F
+starts as (), and E- and R-witnesses alike are committed only through
 that check.  So a candidate F ∪ E needs scanning only on the triples and
 limit pairs through an element of E outside F.  The coloring and the
-window do not change during a run, so each column's limit color and
-stabilization point are worked out once per run.
+window do not change during a run, so the pair colors `rows[x][y]` and
+each column's limit color and stabilization point are worked out once.
+F only grows during a run (every commit is F ∪ extra), so the run's
+`_Extensions` memo keeps, for each member z, its verdict on F ∪ {z} and
+how many members of F, in commit order, it has seen: asked again, it
+scans only the triples and limit pairs through z and a member F gained
+since, and a False verdict is final, since a larger F only adds triples.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..approx import Coloring
 from .base import (
     CohCondition,
     StageRecord,
     State,
+    color_rows,
     digest,
     fallow_check,
     find_halt_witness,
@@ -36,7 +42,6 @@ from .base import (
     halt_cert,
     halt_compat,
     limit_color,
-    pair_value,
     run_stages,
     stabilization_point,
 )
@@ -71,42 +76,68 @@ def valid_em_extension(c: Coloring, F, E, limits) -> bool:
     a run does (see the module docstring).  Only what E adds is scanned:
     the elements of E outside F join one at a time, each checked against F
     and the new elements before it, which covers every triple with one,
-    two or three new elements exactly once."""
-    val = pair_value(c)
+    two or three new elements exactly once.  Runs ask `_Extensions`."""
+    rows = color_rows(c, range(max((*F, *E), default=-1) + 1))
     s = list(F)
     for z in sorted(set(E) - set(F)):
-        if not _fallow_through(val, s, z):
+        if not _fallow_through(rows, s, z, limits=limits):
             return False
-        for w in s:
-            x, y = min(w, z), max(w, z)
-            lx, ly = limits.get(x), limits.get(y)
-            if lx is None or ly is None:
-                return False
-            if lx not in (c.value(x, y), ly):
-                return False
         s.append(z)
     return True
 
 
-def _fallow_through(val, elems, z) -> bool:
-    """No triple of elems ∪ {z} through z breaks fallowness: in each, the
-    outer pair's color is one of the two inner pairs' colors."""
-    elems = sorted(elems)
-    to_z = [val(x, z) if x < z else val(z, x) for x in elems]
-    for a in range(len(elems)):
-        x, xz = elems[a], to_z[a]
-        for b in range(a + 1, len(elems)):
-            y, yz = elems[b], to_z[b]
-            xy = val(x, y)
-            if z > y:
-                ok = xz in (xy, yz)
-            elif z > x:
-                ok = xy in (xz, yz)
-            else:
-                ok = yz in (xz, xy)
-            if not ok:
+def _fallow_through(rows, elems, z, start=0, limits=None) -> bool:
+    """No triple {x, y, z} breaks fallowness, for y = elems[b] with
+    b >= start and x before y in elems: in each, the outer pair's color is
+    one of the two inner pairs' colors (`rows[x][y]` is c(x, y) in both
+    orders).  Given `limits`, nor does a pair (y, z) break the limit-color
+    condition."""
+    to_z, lz = rows[z], limits.get(z) if limits else None
+    for b in range(start, len(elems)):
+        y = elems[b]
+        to_y, yz, y_above = rows[y], to_z[y], y > z
+        for x in elems[:b]:
+            xy, xz = to_y[x], to_z[x]
+            if (x > z) != y_above:  # z is the middle one: outer pair x, y
+                if xy != xz and xy != yz:
+                    return False
+            # otherwise the outer pair joins z to the one farther from it
+            elif xz != yz and xy != (xz if (x < y) != y_above else yz):
+                return False
+        if limits is not None:
+            ly = limits.get(y)
+            low, high = (ly, lz) if y < z else (lz, ly)
+            if ly is None or lz is None or low != yz and low != high:
                 return False
     return True
+
+
+class _Extensions:
+    """One run's memo of extension verdicts (see the module docstring):
+    `verdict[z]` is (ok, how many members of `order` it has seen)."""
+
+    def __init__(self, rows, limits: Dict[int, int]):
+        self.rows, self.limits = rows, limits
+        self.order: List[int] = []  # F in commit order
+        self.verdict: Dict[int, Tuple[bool, int]] = {}
+
+    def allows(self, F, E) -> bool:
+        """valid_em_extension(c, F, E, limits); a larger E needs every new
+        member's verdict, then the triples and pairs with two of them."""
+        order, members = self.order, set(F)
+        if len(F) != len(order):
+            order += sorted(members - set(order))
+        new = sorted(set(E) - members)
+        for z in new:
+            ok, n = self.verdict.get(z, (True, 0))
+            if ok and n < len(order):
+                ok = _fallow_through(self.rows, order, z, n, self.limits)
+                self.verdict[z] = (ok, len(order))
+            if not ok:
+                return False
+        return all(_fallow_through(self.rows, order + new[:j], new[j],
+                                   len(order), self.limits)
+                   for j in range(1, len(new)))
 
 
 def em_clause_flags(c: Coloring, F, reservoir,
@@ -122,8 +153,8 @@ def em_clause_flags(c: Coloring, F, reservoir,
     base_fallow = fallow_check(c, F).ok
     if base_fallow:
         flags.append("iv-fallow")
-    val = pair_value(c)
-    if base_fallow and all(_fallow_through(val, F, z) for z in reservoir):
+    rows = color_rows(c, range(max((*F, *reservoir), default=-1) + 1))
+    if base_fallow and all(_fallow_through(rows, F, z) for z in reservoir):
         flags.append("v-one-step-fallow")
     if all(
         len({c.value(x, z) for z in reservoir if z > x}) <= 1 for x in F
@@ -151,17 +182,17 @@ def _next_em_requirement(state: State) -> Optional[str]:
 
 
 def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
-            limits: Dict[int, int],
+            ext: _Extensions,
             stab: Sequence[int]) -> Optional[StageRecord]:
-    """One stage; `limits` maps each column of the window that has a limit
-    color to it, and `stab[x]` is column x's stabilization point."""
+    """One stage; `ext.limits` maps each column of the window that has a
+    limit color to it, and `stab[x]` is column x's stabilization point."""
     cond = state.condition
     label = _next_em_requirement(state)
     if label is None:
         return None
     kind, _, num = label.partition("_")
     n = int(num)
-    F, window = cond.F, cond.window_bound
+    F, window, limits = cond.F, cond.window_bound, ext.limits
 
     def classes(members):
         # the limit classes, where Case 1 pulls its witnesses from
@@ -169,7 +200,7 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
                 for i in range(c.k))
 
     def keeps_fallow(s) -> bool:
-        return valid_em_extension(c, F, set(s) - set(F), limits)
+        return ext.allows(F, s)
 
     def commit(new_f, cert, part_class):
         m = max((stab[x] for x in new_f), default=0)
@@ -181,10 +212,10 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
 
     if kind == "E+":
         need = n - len(F)
-        compat = _em_compat_e(c, F, limits, need, config)
+        compat = _em_compat_e(c.k, F, ext, need, config)
 
         def witness():
-            found = _em_e_witness(c, cond, limits, need, config)
+            found = _em_e_witness(c.k, cond, ext, need, config)
             if found is not None:
                 i, extra = found
                 return commit(tuple(sorted(set(F) | set(extra))),
@@ -192,7 +223,7 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
     else:
         compat = halt_compat(
             n, F, window, config.subset_width, classes,
-            lambda z: valid_em_extension(c, F, (z,), limits), keeps_fallow)
+            lambda z: ext.allows(F, (z,)), keeps_fallow)
 
         def witness():
             for i, pool in enumerate(classes(cond.reservoir)):
@@ -210,31 +241,31 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
         "no extendable piece; requirement stalled")
 
 
-def _em_compat_e(c, F, limits, need, config):
+def _em_compat_e(k, F, ext, need, config):
     @lru_cache(maxsize=None)
     def compat(piece: frozenset) -> bool:
         if need <= 0:
             return True
-        for i in range(c.k):
-            pool = sorted(z for z in piece if limits.get(z) == i)
+        for i in range(k):
+            pool = sorted(z for z in piece if ext.limits.get(z) == i)
             for extra in itertools.islice(
                     itertools.combinations(pool, need), config.extension_cap):
-                if valid_em_extension(c, F, extra, limits):
+                if ext.allows(F, extra):
                     return True
         return False
 
     return compat
 
 
-def _em_e_witness(c, cond, limits, need, config):
+def _em_e_witness(k, cond, ext, need, config):
     # among all classes, keep the valid extension whose top element is
     # least: committing high elements starves the reservoir on trim
     best = None
-    for i in range(c.k):
-        pool = sorted(z for z in cond.reservoir if limits.get(z) == i)
+    for i in range(k):
+        pool = sorted(z for z in cond.reservoir if ext.limits.get(z) == i)
         for extra in itertools.islice(
                 itertools.combinations(pool, need), config.extension_cap):
-            if valid_em_extension(c, cond.F, extra, limits):
+            if ext.allows(cond.F, extra):
                 key = (max(extra), extra)
                 if best is None or key < best[0]:
                     best = (key, i, extra)
@@ -256,6 +287,7 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
         if cl is not None:
             limits[z] = cl.color
     stab = [stabilization_point(c, z, window) for z in range(window)]
+    ext = _Extensions(color_rows(c, range(window)), limits)
     t = run_stages(
         "em", coloring_digest(c), {
             "stages": stages, "window": window,
@@ -263,7 +295,7 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": c.k,
-        }, state, lambda st, s: em_step(st, c, config, s, limits, stab),
+        }, state, lambda st, s: em_step(st, c, config, s, ext, stab),
         stages)
     final = state.condition
     t.extraction = {
