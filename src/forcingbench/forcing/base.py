@@ -257,10 +257,10 @@ def halt_compat(e: int, F, window: int, subset_width: int, pools, admits,
     """EM's and D2's compat for R_e: can a piece make e self-halt over F?
     A query-free program needs only fuel, from F or from a member z of the
     piece that `admits(z)`; otherwise a bounded witness search, vetoed by
-    `extra_filter`, runs in each of `pools(piece)` in turn."""
+    `extra_filter`, runs in each of `pools(piece)` in turn.  The predicate
+    is plain: `_find_bad_partition` asks it once per distinct piece."""
     status = query_free_status(e, window + 1)
 
-    @lru_cache(maxsize=None)
     def compat(piece: frozenset) -> bool:
         if status[0] == "diverges":
             return False
@@ -287,14 +287,23 @@ def _find_bad_partition(members, k, compatible, cap):
     """A partition of `members` into k pieces with no piece extendable, or
     None, by a depth-first search that prunes any piece that becomes
     extendable.  Members that are singleton-extendable are assigned first,
-    which collapses the search immediately whenever the answer is Yes."""
-    if compatible(frozenset()):
+    which collapses the search immediately whenever the answer is Yes.
+    This is the one memo of `compatible`: it is asked once per distinct
+    piece (a frozenset) during the search, which is one stage."""
+    memo: Dict[frozenset, bool] = {}
+
+    def compat(piece) -> bool:
+        piece = frozenset(piece)
+        ok = memo.get(piece)
+        if ok is None:
+            ok = memo[piece] = compatible(piece)
+        return ok
+
+    if compat(()):
         # extendability is monotone and the empty piece sits inside every
         # piece, so no partition can be bad
         return None
-    useful = [z for z in members if compatible(frozenset((z,)))]
-    rest = [z for z in members if z not in set(useful)]
-    order = useful + rest
+    order = sorted(members, key=lambda z: not compat((z,)))
     visits = 0
     parts: List[set] = [set() for _ in range(k)]
 
@@ -313,7 +322,7 @@ def _find_bad_partition(members, k, compatible, cap):
                     continue  # symmetric to the previous empty piece
                 seen_empty = True
             parts[j].add(z)
-            if not compatible(frozenset(parts[j])):
+            if not compat(parts[j]):
                 found = rec(pos + 1)
                 if found is not None:
                     return found
@@ -435,9 +444,14 @@ def condition_dict(cond) -> Dict:
     return d
 
 
+def canonical_json(obj) -> str:
+    """The canonical byte form: sorted keys, no whitespace, ASCII only."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True)
+
+
 def digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
 
 
 @dataclass
@@ -480,13 +494,14 @@ def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
 def force_step(state: State, stage: int, label: str, k: int, cap: int,
                compat, witness, narrow, negative: Dict, stall: str,
                color: Optional[int] = None) -> StageRecord:
-    """One EM or D2 stage for `label`.  `compat` is None when the answer
-    is known to be yes without a search.  Case 1: `witness()` gives the
-    committed (condition, certificate) or None.  Case 2: `narrow(kept)`
-    gives the condition over the kept piece, and the certificate gets the
-    `negative` fields.  A stalled size requirement is blocked with reason
-    `stall`.  With a `color` (D2), Case-1 and Case-2 certificates carry the
-    decision counts per color; a Case-1 entry in `decided` does not."""
+    """One EM or D2 stage for `label`: `_find_bad_partition` asks the plain
+    predicate `compat` about pieces of the reservoir.  Case 1: `witness()`
+    gives the committed (condition, certificate) or None.  Case 2:
+    `narrow(kept)` gives the condition over the kept piece, and the
+    certificate gets the `negative` fields.  A stalled size requirement is
+    blocked with reason `stall`.  With a `color` (D2), Case-1 and Case-2
+    certificates carry the decision counts per color; a Case-1 entry in
+    `decided` does not."""
     cond = state.condition
 
     def abort(cert):
@@ -500,8 +515,7 @@ def force_step(state: State, stage: int, label: str, k: int, cap: int,
         return {**cert, "counters": list(state.counters)}
 
     try:
-        bad = None if compat is None else _find_bad_partition(
-            cond.reservoir, k, compat, cap)
+        bad = _find_bad_partition(cond.reservoir, k, compat, cap)
     except PartitionCapExceeded:
         return abort({"reason": "partition cap exceeded", "cap": cap})
     if bad is None:

@@ -121,10 +121,9 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
     if kind == "E":
         need = max(e - len(f_color), 0)
 
-        def holds_need(piece: frozenset) -> bool:
+        def compat(piece: frozenset) -> bool:
+            # a met size (need 0) holds on the empty piece: no search
             return sum(1 for z in piece if part_of[z] == color) >= need
-
-        compat = holds_need if need else None  # a met size needs no search
 
         def witness():
             extra = pool[:need]

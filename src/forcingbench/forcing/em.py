@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..approx import Coloring
@@ -211,11 +210,27 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
         return new_cond, {**cert, "m": m, "class": part_class}
 
     if kind == "E+":
-        need = n - len(F)
-        compat = _em_compat_e(c.k, F, ext, need, config)
+        need = n - len(F)  # positive: E+_n is due only while |F| < n
+
+        def extensions(members):
+            # per limit class i, the first (i, E) that keeps F ∪ E fallow
+            # among the class's first `extension_cap` need-subsets
+            for i, pool in enumerate(classes(members)):
+                for extra in itertools.islice(
+                        itertools.combinations(pool, need),
+                        config.extension_cap):
+                    if ext.allows(F, extra):
+                        yield i, extra
+                        break
+
+        def compat(piece: frozenset) -> bool:
+            return any(extensions(piece))
 
         def witness():
-            found = _em_e_witness(c.k, cond, ext, need, config)
+            # among all classes, keep the extension whose top element is
+            # least: committing high elements starves the reservoir on trim
+            found = min(extensions(cond.reservoir),
+                        key=lambda f: (max(f[1]), f[1]), default=None)
             if found is not None:
                 i, extra = found
                 return commit(tuple(sorted(set(F) | set(extra))),
@@ -239,40 +254,6 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
         {"F_at_decision": list(F),
          "search": {"subset_width": config.subset_width}},
         "no extendable piece; requirement stalled")
-
-
-def _em_compat_e(k, F, ext, need, config):
-    @lru_cache(maxsize=None)
-    def compat(piece: frozenset) -> bool:
-        if need <= 0:
-            return True
-        for i in range(k):
-            pool = sorted(z for z in piece if ext.limits.get(z) == i)
-            for extra in itertools.islice(
-                    itertools.combinations(pool, need), config.extension_cap):
-                if ext.allows(F, extra):
-                    return True
-        return False
-
-    return compat
-
-
-def _em_e_witness(k, cond, ext, need, config):
-    # among all classes, keep the valid extension whose top element is
-    # least: committing high elements starves the reservoir on trim
-    best = None
-    for i in range(k):
-        pool = sorted(z for z in cond.reservoir if ext.limits.get(z) == i)
-        for extra in itertools.islice(
-                itertools.combinations(pool, need), config.extension_cap):
-            if ext.allows(cond.F, extra):
-                key = (max(extra), extra)
-                if best is None or key < best[0]:
-                    best = (key, i, extra)
-                break  # first valid per class, then compare across classes
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):

@@ -30,7 +30,6 @@ class PipelineInconclusive(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    coh_stages: Optional[int] = None  # default: all of `stages`
     d2_stages: int = 40
     density_min: int = 2
     subset_width: int = 6
@@ -56,8 +55,7 @@ def rt2_pipeline(c: Coloring, stages: int,
         window=c.bound, density_min=config.density_min,
         subset_width=config.subset_width, schedule="committed-columns",
     )
-    t_coh, committed = run_coh(
-        column_family(c), config.coh_stages or stages, coh_cfg)
+    t_coh, committed = run_coh(column_family(c), stages, coh_cfg)
     decided = t_coh.extraction["decided"]
     sides = {}
     for x in committed:

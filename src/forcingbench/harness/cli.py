@@ -60,57 +60,32 @@ def _finish(t, extracted, instance, args) -> int:
     return _exit_code(report)
 
 
-def _cmd_run_coh(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "RFamily":
-        print(f"run-coh needs an RFamily instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
+def _cmd_run_coh(args, family) -> int:
     cfg = CohConfig(window=args.window, density_min=args.density_min,
                     schedule=args.schedule)
-    t, c = run_coh(inst.payload, args.stages, config=cfg)
-    return _finish(t, {"C": c}, inst.payload, args)
+    t, c = run_coh(family, args.stages, config=cfg)
+    return _finish(t, {"C": c}, family, args)
 
 
-def _cmd_run_em(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "StableColoring":
-        print(f"run-em needs a StableColoring instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
-    t, b = run_em(inst.payload, args.stages, config=EmConfig())
-    return _finish(t, {"B": b}, inst.payload, args)
+def _cmd_run_em(args, c) -> int:
+    t, b = run_em(c, args.stages, config=EmConfig())
+    return _finish(t, {"B": b}, c, args)
 
 
-def _cmd_run_d2(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "Delta2Partition":
-        print(f"run-d2 needs a Delta2Partition instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
+def _cmd_run_d2(args, d) -> int:
     cfg = D2Config(partition_cap=args.partition_cap)
-    t, (color, b) = run_d2(inst.payload, args.stages, config=cfg)
-    return _finish(t, {"color": color, "B": b}, inst.payload, args)
+    t, (color, b) = run_d2(d, args.stages, config=cfg)
+    return _finish(t, {"color": color, "B": b}, d, args)
 
 
-def _cmd_run_rt2(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "Coloring":
-        print(f"run-rt2 needs a Coloring instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
-    h, t = rt2_pipeline(inst.payload, args.stages,
+def _cmd_run_rt2(args, c) -> int:
+    h, t = rt2_pipeline(c, args.stages,
                         config=PipelineConfig(d2_stages=args.d2_stages))
-    return _finish(t, {"H": h}, inst.payload, args)
+    return _finish(t, {"H": h}, c, args)
 
 
-def _cmd_low_basis(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "Tree":
-        print(f"low-basis needs a Tree instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
-    path, decisions = low_basis_path(inst.payload, args.e_bound, args.depth)
+def _cmd_low_basis(args, tree) -> int:
+    path, decisions = low_basis_path(tree, args.e_bound, args.depth)
     print("path: " + "".join(str(b) for b in path))
     for d in decisions.decisions:
         flag = " (provisional)" if d.provisional else ""
@@ -118,13 +93,8 @@ def _cmd_low_basis(args) -> int:
     return 0
 
 
-def _cmd_build_model(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.kind != "RFamily":
-        print(f"build-model needs an RFamily instance, got {inst.kind}",
-              file=sys.stderr)
-        return 2
-    m = build_model(inst.payload[0], args.depth, low=args.low)
+def _cmd_build_model(args, family) -> int:
+    m = build_model(family[0], args.depth, low=args.low)
     problems = model_audit(m)
     print(f"model depth {m.depth}, node bits {len(m.node)}")
     if problems:
@@ -208,33 +178,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-min", type=int, default=8)
     p.add_argument("--schedule", choices=("least", "committed-columns"),
                    default="least")
-    p.set_defaults(fn=_cmd_run_coh)
+    p.set_defaults(fn=_cmd_run_coh, needs="RFamily")
 
     p = sub.add_parser("run-em", help="free set construction for a stable coloring")
     _add_run_common(p)
-    p.set_defaults(fn=_cmd_run_em)
+    p.set_defaults(fn=_cmd_run_em, needs="StableColoring")
 
     p = sub.add_parser("run-d2", help="infinite subset of a limit partition")
     _add_run_common(p)
     p.add_argument("--partition-cap", type=int, default=3 ** 9)
-    p.set_defaults(fn=_cmd_run_d2)
+    p.set_defaults(fn=_cmd_run_d2, needs="Delta2Partition")
 
     p = sub.add_parser("run-rt2", help="monochromatic set for a pair coloring")
     _add_run_common(p)
     p.add_argument("--d2-stages", type=int, default=40)
-    p.set_defaults(fn=_cmd_run_rt2)
+    p.set_defaults(fn=_cmd_run_rt2, needs="Coloring")
 
     p = sub.add_parser("low-basis", help="divergence-forcing path through a tree")
     p.add_argument("instance")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--e-bound", type=int, default=4)
-    p.set_defaults(fn=_cmd_low_basis)
+    p.set_defaults(fn=_cmd_low_basis, needs="Tree")
 
     p = sub.add_parser("build-model", help="coded model over a base set")
     p.add_argument("instance")
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--low", action="store_true")
-    p.set_defaults(fn=_cmd_build_model)
+    p.set_defaults(fn=_cmd_build_model, needs="RFamily")
 
     p = sub.add_parser("verify", help="re-audit a stored transcript")
     p.add_argument("transcript")
@@ -264,8 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    needs = getattr(args, "needs", None)
     try:
-        return args.fn(args)
+        if needs is None:
+            return args.fn(args)
+        inst = load_instance(args.instance)
+        if inst.kind != needs:
+            article = "an" if needs == "RFamily" else "a"
+            print(f"{args.command} needs {article} {needs} instance, "
+                  f"got {inst.kind}", file=sys.stderr)
+            return 2
+        return args.fn(args, inst.payload)
     except Exception as exc:  # surface a one-line diagnosis, not a traceback
         if args.verbose:
             raise

@@ -8,8 +8,8 @@ embed assembler text verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 import yaml
 
@@ -25,8 +25,6 @@ KINDS = ("RFamily", "StableColoring", "Delta2Partition", "Coloring", "Tree")
 class Instance:
     kind: str
     payload: object
-    declared_bounds: Dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
 
 def _require(cond: bool, msg: str):
@@ -137,23 +135,15 @@ def parse_instance(source: str) -> Instance:
     _require(isinstance(doc, dict), "instance must be a mapping")
     kind = doc.get("kind")
     _require(kind in KINDS, f"unknown instance kind {kind!r}")
-    if kind == "Coloring":
-        payload = _coloring_from(doc, require_bound=False)
-        bounds = {"declared_bound": payload.declared_bound}
-    elif kind == "StableColoring":
-        payload = _coloring_from(doc, require_bound=True)
-        bounds = {"declared_bound": payload.declared_bound}
+    if kind in ("Coloring", "StableColoring"):
+        payload = _coloring_from(doc, require_bound=kind == "StableColoring")
     elif kind == "Delta2Partition":
         payload = _partition_from(doc)
-        bounds = {"promised_bound": payload.promised_bound}
     elif kind == "RFamily":
         payload = _family_from(doc)
-        bounds = {}
     else:
         payload = _tree_from(doc)
-        bounds = {}
-    return Instance(kind=kind, payload=payload, declared_bounds=bounds,
-                    seed=doc.get("seed"))
+    return Instance(kind=kind, payload=payload)
 
 
 def load_instance(path: str) -> Instance:

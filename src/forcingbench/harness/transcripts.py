@@ -11,20 +11,15 @@ import json
 import os
 from typing import Optional
 
-from ..forcing.base import Transcript
+from ..forcing.base import Transcript, canonical_json, digest
 
 
 class TranscriptFormatError(ValueError):
     pass
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
-
-
 def transcript_hash(t: Transcript) -> str:
-    return hashlib.sha256(canonical_json(t.to_dict()).encode("ascii")).hexdigest()
+    return digest(t.to_dict())
 
 
 def emit_transcript(t: Transcript, destination: str) -> tuple:
