@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -74,37 +74,37 @@ class D2Condition:
         return True
 
 
-def _committed(cond) -> set:
+def condition_sets(cond):
+    """What the extension order compares of a condition: its window bound,
+    committed set, reservoir set and, for D2, each committed part's set
+    (None for a single committed set)."""
     if isinstance(cond, D2Condition):
-        return set().union(*cond.F_parts)
-    return set(cond.F)
+        parts = tuple(set(p) for p in cond.F_parts)
+        return cond.window_bound, set().union(*parts), set(cond.reservoir), parts
+    return cond.window_bound, set(cond.F), set(cond.reservoir), None
+
+
+def extends_sets(p, q, report: Optional[List[str]] = None) -> bool:
+    """The extension order on `condition_sets`: committed set grew only
+    inside q's reservoir, part by part, and the reservoir shrank.
+    Incomparable windows are reported and treated false."""
+    wp, fp, rp, parts_p = p
+    wq, fq, rq, parts_q = q
+    if wp != wq:
+        if report is not None:
+            report.append(f"incomparable windows ({wp} vs {wq})")
+        return False
+    if not (fp >= fq and fp - fq <= rq and rp <= rq):
+        return False
+    # per-part growth must respect part identity
+    return parts_p is None or all(a >= b for a, b in zip(parts_p, parts_q))
 
 
 def extends(p, q, report: Optional[List[str]] = None) -> bool:
-    """Extension order: committed set grew only inside q's reservoir and the
-    reservoir shrank.  Incomparable windows are reported and treated false."""
+    """Extension order of conditions of one kind (see `extends_sets`)."""
     if type(p) is not type(q):
         raise TypeError("conditions of different kinds are incomparable")
-    if p.window_bound != q.window_bound:
-        if report is not None:
-            report.append(
-                f"incomparable windows ({p.window_bound} vs {q.window_bound})"
-            )
-        return False
-    fp, fq = _committed(p), _committed(q)
-    if not fp >= fq:
-        return False
-    rq = set(q.reservoir)
-    if not (fp - fq) <= rq:
-        return False
-    if not set(p.reservoir) <= rq:
-        return False
-    if isinstance(p, D2Condition):
-        # per-part growth must respect part identity
-        for a, b in zip(p.F_parts, q.F_parts):
-            if not set(a) >= set(b):
-                return False
-    return True
+    return extends_sets(condition_sets(p), condition_sets(q), report)
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,15 @@ def fallow_check(c: Coloring, s) -> FallowReport:
 
 
 def finite_oracle(members) -> OracleWindow:
-    """Characteristic window of a finite set, bounded just past its max."""
-    ms = sorted(members)
-    bound = (ms[-1] + 1) if ms else 1
-    return OracleWindow.from_set(ms, bound)
+    """Characteristic window of a finite set, bounded just past its max.
+    Negative members are skipped: a forged oracle may hold them."""
+    if not members:
+        return OracleWindow((0,))
+    bits = [0] * (max(members) + 1)
+    for n in members:
+        if n >= 0:
+            bits[n] = 1
+    return OracleWindow(tuple(bits))
 
 
 def bounded_halt(e: int, members):
@@ -204,10 +209,10 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
         "singletons": len(reservoir),
         "fuel_scale": 1,
     }
-    base = tuple(sorted(F))
+    base = set(F)
 
     def attempt(added):
-        s = tuple(sorted(set(base) | set(added)))
+        s = tuple(sorted(base.union(added)))
         if extra_filter is not None and not extra_filter(s):
             return None
         out = bounded_halt(e, s)
@@ -347,7 +352,9 @@ def restrict_to_piece(reservoir, window: int, partition):
         OracleWindow.from_set(reservoir, window).bits,
         [OracleWindow.from_set(p, window).bits for p in partition])
     cert["selected_part"] = pos
-    cert["selection"] = [asdict(o) for o in outcomes]
+    cert["selection"] = [
+        {"side": o.side, "by": o.by, "count_intersect": o.count_intersect,
+         "count_complement": o.count_complement} for o in outcomes]
     return OracleWindow(kept).members(), cert
 
 

@@ -4,12 +4,33 @@ Everything here works from the transcript alone (plus the instance, when
 supplied): the construction code is never consulted.  Findings carry one
 of three grades: certified (re-checked and exact), provisional (true as
 far as a bounded re-check can see), refuted (contradicted by replay).
+
+`verify_transcript` makes these passes, in this order of findings:
+
+- the extension chain: every stage's condition is valid (its committed
+  set stays below its reservoir) and extends the stage before's;
+- D2's decision counters stay within the stage budget;
+- every Case-1 certificate replays: its oracle lists a finite set of
+  naturals on which the program self-halts with the recorded steps, use
+  and value; every Case-2 decision survives a wider witness search;
+- the jump ledger: each positive's oracle is a prefix of the extracted
+  set, and each negative stays divergent on the extracted set;
+- with the instance: EM's extracted set is fallow (and each aborted EM
+  stage is reported provisional), D2's lies in the selected part, and
+  the pipeline's set is monochromatic, after the audits of its nested coh
+  and D2 transcripts.
+
+Each fact is computed once per call: a stage's condition sets once (a
+stage recording its predecessor's condition reuses its verdicts), and a
+certificate's replay once, which the ledger reuses.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..machine import HALTED
 from .base import (
@@ -20,7 +41,8 @@ from .base import (
     D2Condition,
     Transcript,
     bounded_halt,
-    extends,
+    condition_sets,
+    extends_sets,
     fallow_check,
     find_halt_witness,
 )
@@ -62,33 +84,56 @@ def _program_of(requirement: str) -> int:
 
 
 def _check_chain(t: Transcript, report: AuditReport):
-    prev = None
+    """Validity of every stage's condition, and the extension order between
+    each stage and the one before.  A stage recording its predecessor's
+    condition repeats that verdict and extends it trivially; every other
+    stage's sets are built once and compared as the next stage's `prev`."""
+    prev = prev_sets = None
+    valid = True
     for rec in t.stages:
+        if rec.condition == prev:
+            if not valid:
+                report.add(REFUTED, "committed set reaches into the reservoir",
+                           rec.stage, rec.requirement)
+            continue
         cond = _condition_from_dict(t.kind, rec.condition)
-        if not cond.valid():
+        valid = cond.valid()
+        if not valid:
             report.add(REFUTED, "committed set reaches into the reservoir",
                        rec.stage, rec.requirement)
-        if prev is not None:
+        sets = condition_sets(cond)
+        if prev_sets is not None:
             notes: List[str] = []
-            if not extends(cond, prev, notes):
+            if not extends_sets(sets, prev_sets, notes):
                 report.add(REFUTED,
                            "extension order violated: " + (notes[0] if notes
                                                            else "clause check"),
                            rec.stage, rec.requirement)
-        prev = cond
+        prev, prev_sets = rec.condition, sets
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-def _replay_positive(rec, report: AuditReport):
+def _lists_finite_set(oracle) -> bool:
+    """Whether `oracle` lists naturals in strictly increasing order, as an
+    honest certificate's oracle does."""
+    return (isinstance(oracle, list) and set(map(type, oracle)) <= {int}
+            and oracle == sorted(set(oracle))
+            and (not oracle or oracle[0] >= 0))
+
+
+def _replay_positive(rec) -> Tuple[str, str]:
+    """(grade, note) of a Case-1 certificate: its oracle must be a finite
+    set of naturals on which the program self-halts exactly as recorded."""
     cert = rec.certificates
-    out = bounded_halt(_program_of(rec.requirement), cert["oracle"])
+    oracle = cert.get("oracle")
+    if not _lists_finite_set(oracle):
+        return (REFUTED,
+                "halting certificate oracle is not an increasing list of naturals")
+    out = bounded_halt(_program_of(rec.requirement), oracle)
     if (out.tag == HALTED and out.steps == cert["steps"]
             and out.use == cert["use"] and out.value == cert["value"]):
-        report.add(CERTIFIED, "halting certificate replays",
-                   rec.stage, rec.requirement)
-    else:
-        report.add(REFUTED, "halting certificate does not replay",
-                   rec.stage, rec.requirement)
+        return CERTIFIED, "halting certificate replays"
+    return REFUTED, "halting certificate does not replay"
 
 
 def _recheck_negative(rec, report: AuditReport, audit_fuel: int):
@@ -114,13 +159,15 @@ def _recheck_negative(rec, report: AuditReport, audit_fuel: int):
 
 
 def _jump_ledger(t: Transcript, extracted, report: AuditReport,
+                 replays: Dict[int, Tuple[str, str]],
                  color: Optional[int] = None):
     """Decided R/N entries against the extracted set: positives must replay
     on the extracted prefix verbatim, negatives must stay divergent on it.
-    For part-wise runs only the selected color's entries concern the
-    extracted set."""
+    A positive's replay is the main pass's verdict, `replays[i]` for stage
+    record i.  For part-wise runs only the selected color's entries concern
+    the extracted set."""
     ext = sorted(extracted)
-    for rec in t.stages:
+    for i, rec in enumerate(t.stages):
         if color is not None:
             if "^" not in rec.requirement:
                 continue
@@ -131,13 +178,13 @@ def _jump_ledger(t: Transcript, extracted, report: AuditReport,
             if oracle is None:
                 continue
             top = max(oracle) if oracle else -1
-            prefix = [x for x in ext if x <= top]
+            prefix = ext[:bisect_right(ext, top)]
             if prefix != sorted(oracle):
                 report.add(REFUTED,
                            "extracted set disagrees with certificate oracle",
                            rec.stage, rec.requirement)
                 continue
-            _replay_positive(rec, report)
+            report.add(*replays[i], rec.stage, rec.requirement)
         elif rec.branch == CASE2 and rec.requirement.startswith("N"):
             e = _program_of(rec.requirement)
             out = bounded_halt(e, ext)
@@ -197,16 +244,18 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 total = sum(counters)
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
-    for rec in t.stages:
+    replays: Dict[int, Tuple[str, str]] = {}
+    for i, rec in enumerate(t.stages):
         if rec.branch == CASE1 and rec.requirement.startswith("R"):
-            _replay_positive(rec, report)
+            replays[i] = _replay_positive(rec)
+            report.add(*replays[i], rec.stage, rec.requirement)
         elif rec.branch == CASE2 and rec.requirement.startswith("N"):
             _recheck_negative(rec, report, audit_fuel)
 
     if t.kind == "coh":
-        _jump_ledger(t, t.extraction.get("C", []), report)
+        _jump_ledger(t, t.extraction.get("C", []), report, replays)
     elif t.kind == "em":
-        _jump_ledger(t, t.extraction.get("B", []), report)
+        _jump_ledger(t, t.extraction.get("B", []), report, replays)
         if instance is not None:
             b = t.extraction.get("B", [])
             fr = fallow_check(instance, b)
@@ -222,7 +271,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     elif t.kind == "d2":
         color = t.extraction.get("color")
         b = t.extraction.get("B", [])
-        _jump_ledger(t, b, report, color=color)
+        _jump_ledger(t, b, report, replays, color=color)
         if instance is not None and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
             if off:
