@@ -2,8 +2,9 @@
 
 An honest oracle lists the naturals of a finite set in increasing order.
 An oracle of negative numbers only used to make the replay raise (its
-window bound, and so the fuel, fell below 1); a negative member beside
-others was dropped silently, so the replay could still match.
+window bound, and so the fuel, fell below 1), and so did one with a
+member that is not an integer; a negative member beside others was
+dropped silently, so the replay could still match.
 """
 
 import copy
@@ -14,7 +15,7 @@ from forcingbench.forcing import run_d2, run_em, verify_transcript
 from forcingbench.forcing.base import CASE1, Transcript
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
 
-FORGED_ORACLES = ([-3], [-1, 5], [2, 2])
+FORGED_ORACLES = ([-3], [-1, 5], [2, 2], ["5"])
 
 
 @pytest.fixture(scope="module")
