@@ -80,8 +80,10 @@ def condition_sets(cond):
     (None for a single committed set)."""
     if isinstance(cond, D2Condition):
         parts = tuple(set(p) for p in cond.F_parts)
-        return cond.window_bound, set().union(*parts), set(cond.reservoir), parts
-    return cond.window_bound, set(cond.F), set(cond.reservoir), None
+        committed = set().union(*parts)
+    else:
+        parts, committed = None, set(cond.F)
+    return cond.window_bound, committed, set(cond.reservoir), parts
 
 
 def extends_sets(p, q, report: Optional[List[str]] = None) -> bool:
@@ -144,7 +146,7 @@ def fallow_check(c: Coloring, s) -> FallowReport:
 
 def finite_oracle(members) -> OracleWindow:
     """Characteristic window of a finite set, bounded just past its max.
-    Negative members are skipped: a forged oracle may hold them."""
+    Negative members are skipped: a forged transcript may hold them."""
     if not members:
         return OracleWindow((0,))
     bits = [0] * (max(members) + 1)

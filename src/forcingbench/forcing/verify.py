@@ -89,32 +89,27 @@ def _check_chain(t: Transcript, report: AuditReport):
     condition repeats that verdict and extends it trivially; every other
     stage's sets are built once and compared as the next stage's `prev`."""
     prev = prev_sets = None
-    valid = True
     for rec in t.stages:
-        if rec.condition == prev:
-            if not valid:
-                report.add(REFUTED, "committed set reaches into the reservoir",
-                           rec.stage, rec.requirement)
-            continue
-        cond = _condition_from_dict(t.kind, rec.condition)
-        valid = cond.valid()
+        extended = True
+        if rec.condition != prev:
+            cond = _condition_from_dict(t.kind, rec.condition)
+            valid, sets, notes = cond.valid(), condition_sets(cond), []
+            if prev_sets is not None:
+                extended = extends_sets(sets, prev_sets, notes)
+            prev, prev_sets = rec.condition, sets
         if not valid:
             report.add(REFUTED, "committed set reaches into the reservoir",
                        rec.stage, rec.requirement)
-        sets = condition_sets(cond)
-        if prev_sets is not None:
-            notes: List[str] = []
-            if not extends_sets(sets, prev_sets, notes):
-                report.add(REFUTED,
-                           "extension order violated: " + (notes[0] if notes
-                                                           else "clause check"),
-                           rec.stage, rec.requirement)
-        prev, prev_sets = rec.condition, sets
+        if not extended:
+            report.add(REFUTED,
+                       "extension order violated: " + (notes[0] if notes
+                                                       else "clause check"),
+                       rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-_NOT_A_SET = (REFUTED,
-              "halting certificate oracle is not an increasing list of naturals")
+_NOT_A_SET = (
+    REFUTED, "halting certificate oracle is not an increasing list of naturals")
 
 
 def _lists_finite_set(oracle) -> bool:

@@ -15,10 +15,7 @@ from forcingbench.forcing import verify_transcript
 from forcingbench.forcing.base import CASE1, Transcript, digest
 
 from test_transcript_hashes import GOLDEN, _run
-
-
-def _reload(t: Transcript) -> Transcript:
-    return Transcript.from_dict(copy.deepcopy(t.to_dict()))
+from test_verify import _reload
 
 
 def _first_positive(t: Transcript):

@@ -10,10 +10,8 @@ import random
 
 import pytest
 
-from forcingbench.approx import SetPresentation
-from forcingbench.forcing import run_coh, run_d2, run_em
+from forcingbench.forcing import run_d2, run_em
 from forcingbench.forcing.base import Transcript, extends
-from forcingbench.forcing.coh import CohConfig
 from forcingbench.forcing.verify import (
     CERTIFIED,
     REFUTED,
@@ -22,6 +20,8 @@ from forcingbench.forcing.verify import (
     _condition_from_dict,
 )
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
+
+from test_verify import _coh_run, _reload
 
 TRIALS = 40
 
@@ -44,16 +44,8 @@ def _reference_chain(t: Transcript, report: AuditReport):
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-def _coh():
-    family = [
-        SetPresentation.from_set(range(0, 64, 2), 64),
-        SetPresentation.from_set(range(0, 64, 3), 64),
-    ]
-    return run_coh(family, 40, config=CohConfig(window=64, density_min=4))[0]
-
-
 RUNS = {
-    "coh": _coh,
+    "coh": lambda: _coh_run()[0],
     "em": lambda: run_em(gen_stable_coloring(0), 200)[0],
     "d2": lambda: run_d2(gen_d2_partition(0), 300)[0],
 }
@@ -116,7 +108,7 @@ def test_mutated_chains_match_reference(honest):
     rng = random.Random(f"chain-{honest.kind}")
     refuting = 0
     for _ in range(TRIALS):
-        t = Transcript.from_dict(copy.deepcopy(honest.to_dict()))
+        t = _reload(honest)
         for _ in range(rng.randint(1, 8)):
             _mutate(rng, t)
         got, want = AuditReport(), AuditReport()

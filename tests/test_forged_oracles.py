@@ -7,13 +7,13 @@ member that is not an integer; a negative member beside others was
 dropped silently, so the replay could still match.
 """
 
-import copy
-
 import pytest
 
 from forcingbench.forcing import run_d2, run_em, verify_transcript
 from forcingbench.forcing.base import CASE1, Transcript
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
+
+from test_verify import _reload
 
 FORGED_ORACLES = ([-3], [-1, 5], [2, 2], ["5"])
 
@@ -32,7 +32,7 @@ def d2_run():
 
 
 def _forge(t: Transcript, index: int, oracle) -> Transcript:
-    bad = Transcript.from_dict(copy.deepcopy(t.to_dict()))
+    bad = _reload(t)
     bad.stages[index].certificates["oracle"] = list(oracle)
     return bad
 
