@@ -47,6 +47,12 @@ ABORT = "abort"
 SKIP = "skip"
 
 
+def committed_below(committed, reservoir) -> bool:
+    """The condition invariant: every committed member lies below every
+    reservoir member."""
+    return not committed or not reservoir or max(committed) < min(reservoir)
+
+
 @dataclass(frozen=True)
 class CohCondition:
     F: Tuple[int, ...]
@@ -55,9 +61,7 @@ class CohCondition:
     window_bound: int
 
     def valid(self) -> bool:
-        if self.F and self.reservoir:
-            return max(self.F) < min(self.reservoir)
-        return True
+        return committed_below(self.F, self.reservoir)
 
 
 @dataclass(frozen=True)
@@ -68,22 +72,20 @@ class D2Condition:
     window_bound: int
 
     def valid(self) -> bool:
-        for part in self.F_parts:
-            if part and self.reservoir and max(part) >= min(self.reservoir):
-                return False
-        return True
+        return all(committed_below(part, self.reservoir)
+                   for part in self.F_parts)
 
 
-def condition_sets(cond):
-    """What the extension order compares of a condition: its window bound,
-    committed set, reservoir set and, for D2, each committed part's set
-    (None for a single committed set)."""
-    if isinstance(cond, D2Condition):
-        parts = tuple(set(p) for p in cond.F_parts)
-        committed = set().union(*parts)
+def condition_sets(d: Dict, parts: bool):
+    """What the extension order compares of a condition in its transcript
+    form (`condition_dict`): its window bound, committed set, reservoir set
+    and, with `parts` (D2), each committed part's set, else None."""
+    if parts:
+        part_sets = tuple(set(p) for p in d["F_parts"])
+        committed = set().union(*part_sets)
     else:
-        parts, committed = None, set(cond.F)
-    return cond.window_bound, committed, set(cond.reservoir), parts
+        part_sets, committed = None, set(d["F"])
+    return d["window_bound"], committed, set(d["reservoir"]), part_sets
 
 
 def extends_sets(p, q, report: Optional[List[str]] = None) -> bool:
@@ -106,7 +108,9 @@ def extends(p, q, report: Optional[List[str]] = None) -> bool:
     """Extension order of conditions of one kind (see `extends_sets`)."""
     if type(p) is not type(q):
         raise TypeError("conditions of different kinds are incomparable")
-    return extends_sets(condition_sets(p), condition_sets(q), report)
+    parts = isinstance(p, D2Condition)
+    return extends_sets(condition_sets(condition_dict(p), parts),
+                        condition_sets(condition_dict(q), parts), report)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,9 @@ from .base import (
     ABORT,
     CASE1,
     CASE2,
-    CohCondition,
-    D2Condition,
     Transcript,
     bounded_halt,
+    committed_below,
     condition_sets,
     extends_sets,
     fallow_check,
@@ -71,13 +70,6 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
-def _condition_from_dict(kind: str, d: Dict):
-    rest = (d["I"], tuple(d["reservoir"]), d["window_bound"])
-    if kind == "d2":
-        return D2Condition(tuple(tuple(p) for p in d["F_parts"]), *rest)
-    return CohCondition(tuple(d["F"]), *rest)
-
-
 def _program_of(requirement: str) -> int:
     # "R_5", "N_5", "R_5^1", "N_5^0" -> 5
     return int(requirement.split("_")[1].split("^")[0])
@@ -88,12 +80,14 @@ def _check_chain(t: Transcript, report: AuditReport):
     each stage and the one before.  A stage recording its predecessor's
     condition repeats that verdict and extends it trivially; every other
     stage's sets are built once and compared as the next stage's `prev`."""
+    parts = t.kind == "d2"
     prev = prev_sets = None
     for rec in t.stages:
         extended = True
         if rec.condition != prev:
-            cond = _condition_from_dict(t.kind, rec.condition)
-            valid, sets, notes = cond.valid(), condition_sets(cond), []
+            sets, notes = condition_sets(rec.condition, parts), []
+            # D2's union lies below the reservoir iff each of its parts does
+            valid = committed_below(sets[1], sets[2])
             if prev_sets is not None:
                 extended = extends_sets(sets, prev_sets, notes)
             prev, prev_sets = rec.condition, sets

@@ -1,7 +1,7 @@
 """The auditor's extension-chain pass against a plain reference.
 
-The reference rebuilds every stage's condition, asks `valid()` and
-`extends(cond, prev)` stage by stage.  On random mutations of honest coh,
+The reference rebuilds every stage's condition as a `CohCondition` or
+`D2Condition`, asks `valid()` and `extends(cond, prev)` stage by stage.  On random mutations of honest coh,
 EM and D2 stage chains, both must give the same findings in the same order.
 """
 
@@ -11,19 +11,30 @@ import random
 import pytest
 
 from forcingbench.forcing import run_d2, run_em
-from forcingbench.forcing.base import Transcript, extends
+from forcingbench.forcing.base import (
+    CohCondition,
+    D2Condition,
+    Transcript,
+    extends,
+)
 from forcingbench.forcing.verify import (
     CERTIFIED,
     REFUTED,
     AuditReport,
     _check_chain,
-    _condition_from_dict,
 )
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
 
 from test_verify import _coh_run, _reload
 
 TRIALS = 40
+
+
+def _condition_from_dict(kind: str, d):
+    rest = (d["I"], tuple(d["reservoir"]), d["window_bound"])
+    if kind == "d2":
+        return D2Condition(tuple(tuple(p) for p in d["F_parts"]), *rest)
+    return CohCondition(tuple(d["F"]), *rest)
 
 
 def _reference_chain(t: Transcript, report: AuditReport):
