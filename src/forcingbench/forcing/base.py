@@ -295,10 +295,10 @@ class PartitionCapExceeded(RuntimeError):
 
 
 def _find_bad_partition(members, k, compatible, cap):
-    """A partition of `members` into k pieces with no piece extendable, or
-    None, by a depth-first search that prunes any piece that becomes
-    extendable.  Members that are singleton-extendable are assigned first,
-    which collapses the search immediately whenever the answer is Yes.
+    """A partition of the sequence `members` into k pieces with no piece
+    extendable, or None, by a depth-first search that prunes any piece that
+    becomes extendable.  A singleton-extendable member answers Yes before
+    the search: placed first, it would end the search at its first visit.
     This is the one memo of `compatible`: it is asked once per distinct
     piece (a frozenset) during the search, which is one stage."""
     memo: Dict[frozenset, bool] = {}
@@ -314,7 +314,11 @@ def _find_bad_partition(members, k, compatible, cap):
         # extendability is monotone and the empty piece sits inside every
         # piece, so no partition can be bad
         return None
-    order = sorted(members, key=lambda z: not compat((z,)))
+    if any(compat((z,)) for z in members):
+        if cap < 1:  # the one visit that would have found it
+            raise PartitionCapExceeded(str(cap))
+        return None
+    order = members
     visits = 0
     parts: List[set] = [set() for _ in range(k)]
 

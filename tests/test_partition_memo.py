@@ -3,7 +3,9 @@ within one search it asks about each distinct piece at most once."""
 
 from collections import Counter
 
-from forcingbench.forcing.base import _find_bad_partition
+import pytest
+
+from forcingbench.forcing.base import PartitionCapExceeded, _find_bad_partition
 
 
 def _counted(compatible):
@@ -33,3 +35,13 @@ def test_each_piece_asked_at_most_once_when_found():
     assert max(asked.values()) == 1
     assert sorted(x for p in got for x in p) == list(range(7))
     assert all(len(p) <= 3 for p in got)
+
+
+def test_singleton_extendable_member_answers_before_search():
+    # the search stops at the first member extendable alone, and asks about
+    # no piece after it; the cap still counts the one visit it replaces
+    compat, asked = _counted(lambda piece: 4 in piece)
+    assert _find_bad_partition(tuple(range(7)), 3, compat, cap=1) is None
+    assert set(asked) == {frozenset()} | {frozenset((z,)) for z in range(5)}
+    with pytest.raises(PartitionCapExceeded):
+        _find_bad_partition(tuple(range(7)), 3, compat, cap=0)
