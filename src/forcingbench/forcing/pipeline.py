@@ -12,9 +12,9 @@ back to a monochromatic set, which is verified exhaustively before return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..approx import Coloring, SetPresentation
+from ..approx import Coloring, MalformedInstanceError, SetPresentation
 from ..machine import OracleWindow
 from .base import Transcript
 from .coh import CohConfig, run_coh
@@ -36,11 +36,18 @@ class PipelineConfig:
 
 
 def column_family(c: Coloring):
+    """The columns R_x = {y > x : c(x, y) = 1} over the window, read
+    straight from the table when there is one, with `Coloring.value`'s
+    colour-range check."""
     fam = []
     for x in range(c.bound):
-        bits = tuple(
-            1 if y > x and c.value(x, y) == 1 else 0 for y in range(c.bound)
-        )
+        row = (c.table[x] if c.table is not None
+               else [c.value(x, y) for y in range(x + 1, c.bound)])
+        if row and max(row) >= c.k:
+            j = next(j for j, v in enumerate(row) if v >= c.k)
+            raise MalformedInstanceError(
+                f"color {row[j]} out of range at ({x}, {x + 1 + j})")
+        bits = (0,) * (x + 1) + tuple(1 if v == 1 else 0 for v in row)
         fam.append(SetPresentation(OracleWindow(bits)))
     return fam
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from forcingbench.approx import Coloring
+from forcingbench.approx import Coloring, MalformedInstanceError
 from forcingbench.forcing import rt2_pipeline, verify_transcript
 from forcingbench.forcing.pipeline import column_family
 from forcingbench.harness import gen_coloring, monochromatic
@@ -42,6 +42,15 @@ def test_column_family_matches_color_one():
         for y in range(c.bound):
             expected = 1 if y > x and c.value(x, y) == 1 else 0
             assert bits[y] == expected
+
+
+def test_column_family_keeps_the_colour_range_check():
+    c = Coloring.from_function(2, 12, lambda x, y: 3 if (x, y) == (4, 9) else 1)
+    with pytest.raises(MalformedInstanceError) as got:
+        c.value(4, 9)
+    with pytest.raises(MalformedInstanceError) as fam:
+        column_family(c)
+    assert str(fam.value) == str(got.value)
 
 
 def test_pipeline_embeds_sub_transcripts():
