@@ -207,13 +207,11 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
     increasing bitmask / increasing singleton).  `extra_filter(F ∪ D)` can
     veto candidates (fallowness constraints).  Query-free programs shortcut
     to a single fuel question.  Returns (HaltWitness | None, search record);
-    the record's `fuel_scale` is always 1, since the fuel is the oracle
-    bound itself.
+    the fuel is the oracle bound itself, so the record names no fuel.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
         "singletons": len(reservoir),
-        "fuel_scale": 1,
     }
     base = set(F)
 
@@ -398,7 +396,7 @@ class StageRecord:
     stage: int
     requirement: str
     branch: str
-    condition: Dict
+    condition: Optional[Dict]  # None: the condition of the stage before
     certificates: Dict
 
     def to_dict(self) -> Dict:
@@ -411,23 +409,38 @@ class StageRecord:
         }
 
 
+TRANSCRIPT_VERSION = 2
+
+
 @dataclass
 class Transcript:
+    """A run's record.  In memory every stage holds its condition; the
+    written form (`to_dict`, format version 2) holds `null` for a condition
+    equal to the last one written, and `from_dict` keeps that None."""
+
     kind: str
     instance_hash: str
     config: Dict
     stages: List[StageRecord] = field(default_factory=list)
     extraction: Dict = field(default_factory=dict)
     audits: List[Dict] = field(default_factory=list)
-    version: int = 1
+    version: int = TRANSCRIPT_VERSION
 
     def to_dict(self) -> Dict:
+        stages, last = [], None
+        for s in self.stages:
+            d = s.to_dict()
+            if s.condition is not None:
+                if s.condition == last:
+                    d["condition"] = None
+                last = s.condition
+            stages.append(d)
         return {
             "version": self.version,
             "kind": self.kind,
             "instance_hash": self.instance_hash,
             "config": self.config,
-            "stages": [s.to_dict() for s in self.stages],
+            "stages": stages,
             "extraction": self.extraction,
             "audits": self.audits,
         }

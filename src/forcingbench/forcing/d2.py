@@ -26,7 +26,6 @@ from .base import (
     halt_cert,
     halt_compat,
     run_stages,
-    settle,
 )
 
 
@@ -199,7 +198,6 @@ def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
         "B": list(b),
         "F_parts": [list(p) for p in state.condition.F_parts],
         "counters": list(state.counters),
-        "decided": state.decided,
         "blocked": list(state.blocked),
     }
     return t, (color, b)

@@ -282,7 +282,6 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     t.extraction = {
         "B": list(final.F),
         "fallow": fallow_check(c, final.F).ok,
-        "decided": state.decided,
         "blocked": list(state.blocked),
         "final_flags": list(em_clause_flags(c, final.F, final.reservoir,
                                             config.density_min)),

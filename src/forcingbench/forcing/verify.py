@@ -8,8 +8,14 @@ far as a bounded re-check can see), refuted (contradicted by replay).
 `verify_transcript` makes these passes, in this order of findings:
 
 - the extension chain: every stage's condition is valid (its committed
-  set stays below its reservoir) and extends the stage before's;
+  set stays below its reservoir) and extends the stage before's.  A stage
+  whose condition is `null` (None) records the condition of the stage
+  before it: transcript format version 2 writes a condition out only when
+  it differs from the last one written.  A `null` at the first stage
+  repeats nothing and is refuted;
 - D2's decision counters stay within the stage budget;
+- the extracted set is a list of distinct naturals; if it is not, it is
+  refuted here, and neither the ledger nor the instance checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals on which the program self-halts with the recorded steps, use
   and value; every Case-2 decision survives a wider witness search;
@@ -78,13 +84,20 @@ def _program_of(requirement: str) -> int:
 def _check_chain(t: Transcript, report: AuditReport):
     """Validity of every stage's condition, and the extension order between
     each stage and the one before.  A stage recording its predecessor's
-    condition repeats that verdict and extends it trivially; every other
-    stage's sets are built once and compared as the next stage's `prev`."""
+    condition, or None for it, repeats that verdict and extends it
+    trivially; every other stage's sets are built once and compared as the
+    next stage's `prev`.  A None with no stage before it is refuted once."""
     parts = t.kind == "d2"
     prev = prev_sets = None
+    if t.stages and t.stages[0].condition is None:
+        report.add(REFUTED, "first stage repeats no earlier condition",
+                   t.stages[0].stage, t.stages[0].requirement)
     for rec in t.stages:
         extended = True
-        if rec.condition != prev:
+        if rec.condition is None:
+            if prev is None:
+                continue  # nothing to repeat; refuted above
+        elif rec.condition != prev:
             sets, notes = condition_sets(rec.condition, parts), []
             # D2's union lies below the reservoir iff each of its parts does
             valid = committed_below(sets[1], sets[2])
@@ -104,14 +117,19 @@ def _check_chain(t: Transcript, report: AuditReport):
 
 _NOT_A_SET = (
     REFUTED, "halting certificate oracle is not an increasing list of naturals")
+_NOT_NATURALS = "extracted set is not a list of distinct naturals"
+
+
+def _lists_naturals(xs) -> bool:
+    """Whether `xs` is a list of distinct naturals, as an extracted set is."""
+    return (isinstance(xs, list) and set(map(type, xs)) <= {int}
+            and len(set(xs)) == len(xs) and (not xs or min(xs) >= 0))
 
 
 def _lists_finite_set(oracle) -> bool:
     """Whether `oracle` lists naturals in strictly increasing order, as an
     honest certificate's oracle does."""
-    return (isinstance(oracle, list) and set(map(type, oracle)) <= {int}
-            and oracle == sorted(set(oracle))
-            and (not oracle or oracle[0] >= 0))
+    return _lists_naturals(oracle) and oracle == sorted(oracle)
 
 
 def _replay_positive(rec) -> Tuple[str, str]:
@@ -211,7 +229,9 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.counts[g] += n
         h = t.extraction["H"]
         color = t.extraction["color"]
-        if instance is not None:
+        if not _lists_naturals(h):
+            report.add(REFUTED, _NOT_NATURALS)
+        elif instance is not None:
             bad = [
                 (x, y) for i, x in enumerate(h) for y in h[i + 1:]
                 if instance.value(x, y) != color
@@ -236,6 +256,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 total = sum(counters)
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
+    # the ledger and the instance checks read the extracted set
+    b = t.extraction.get("C" if t.kind == "coh" else "B", [])
+    listed = _lists_naturals(b)
+    if not listed:
+        report.add(REFUTED, _NOT_NATURALS)
+
     replays: Dict[int, Tuple[str, str]] = {}
     for i, rec in enumerate(t.stages):
         if rec.branch == CASE1 and rec.requirement.startswith("R"):
@@ -244,25 +270,8 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         elif rec.branch == CASE2 and rec.requirement.startswith("N"):
             _recheck_negative(rec, report, audit_fuel)
 
-    if t.kind == "coh":
-        _jump_ledger(t, t.extraction.get("C", []), report, replays)
-    elif t.kind == "em":
-        _jump_ledger(t, t.extraction.get("B", []), report, replays)
-        if instance is not None:
-            b = t.extraction.get("B", [])
-            fr = fallow_check(instance, b)
-            if fr.ok:
-                report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")
-            else:
-                report.add(REFUTED, f"fallow violation {fr.violation}")
-            for rec in t.stages:
-                if rec.branch == ABORT:
-                    report.add(PROVISIONAL,
-                               rec.certificates.get("reason", "stage aborted"),
-                               rec.stage, rec.requirement)
-    elif t.kind == "d2":
+    if listed and t.kind == "d2":
         color = t.extraction.get("color")
-        b = t.extraction.get("B", [])
         _jump_ledger(t, b, report, replays, color=color)
         if instance is not None and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
@@ -271,4 +280,18 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             else:
                 report.add(CERTIFIED,
                            f"extracted set inside part {color}")
+    elif listed:
+        _jump_ledger(t, b, report, replays)
+        if t.kind == "em" and instance is not None:
+            fr = fallow_check(instance, b)
+            if fr.ok:
+                report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")
+            else:
+                report.add(REFUTED, f"fallow violation {fr.violation}")
+    if t.kind == "em" and instance is not None:
+        for rec in t.stages:
+            if rec.branch == ABORT:
+                report.add(PROVISIONAL,
+                           rec.certificates.get("reason", "stage aborted"),
+                           rec.stage, rec.requirement)
     return report

@@ -1,7 +1,8 @@
 """Transcript serialization with a canonical byte form.
 
 The same run must hash to the same digest on every machine, so the JSON
-form is fully canonical: sorted keys, no whitespace, plain integers.
+form is fully canonical: sorted keys, no whitespace, plain integers.  Only
+format version 2 is read (see `forcing.base.Transcript`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import json
 import os
 from typing import Optional
 
-from ..forcing.base import Transcript, canonical_json, digest
+from ..forcing.base import (TRANSCRIPT_VERSION, Transcript, canonical_json,
+                            digest)
 
 
 class TranscriptFormatError(ValueError):
@@ -53,6 +55,11 @@ def load_transcript(path: str, expect_hash: Optional[str] = None) -> Transcript:
     missing = [k for k in _REQUIRED if k not in doc]
     if missing:
         raise TranscriptFormatError(f"missing fields: {', '.join(missing)}")
+    if doc["version"] != TRANSCRIPT_VERSION:
+        raise TranscriptFormatError(
+            f"transcript format version {doc['version']!r} is not read here, "
+            f"only version {TRANSCRIPT_VERSION}; tools/transcript_v1_to_v2.py "
+            "converts a version 1 transcript")
     if not isinstance(doc["stages"], list):
         raise TranscriptFormatError("stages must be a list")
     for i, st in enumerate(doc["stages"]):

@@ -4,7 +4,9 @@ The golden table of `test_transcript_hashes.py` and the transcript manifest
 compare only the audit counts; what `forcingbench verify` prints is the
 findings list itself.  Each digest is sha256 of the canonical JSON of
 `report.findings`, for the twelve golden transcripts and for forged
-variants of some of them that reach the auditor's refutation paths.
+variants of some of them that reach the auditor's refutation paths.  Each
+forgery changes the transcript in memory, where every stage holds its
+condition, before it is written out and read back (`_forged`).
 """
 
 import copy
@@ -15,7 +17,7 @@ from forcingbench.forcing import verify_transcript
 from forcingbench.forcing.base import CASE1, Transcript, digest
 
 from test_transcript_hashes import GOLDEN, _run
-from test_verify import _reload
+from test_verify import _forged
 
 
 def _first_positive(t: Transcript):
@@ -89,8 +91,16 @@ def tampered_extraction(t):
 
 
 def nested_window_bound(t):
-    stages = t.extraction["d2"]["stages"]
+    # the nested transcript is kept written out: give every stage its
+    # condition, forge one, and write it out again
+    nested, last = t.extraction["d2"], None
+    for stage in nested["stages"]:
+        if stage["condition"] is None:
+            stage["condition"] = copy.deepcopy(last)
+        last = stage["condition"]
+    stages = nested["stages"]
     stages[len(stages) // 2]["condition"]["window_bound"] += 1
+    t.extraction["d2"] = Transcript.from_dict(nested).to_dict()
 
 
 FORGED = {
@@ -180,8 +190,7 @@ def test_golden_findings(name):
 def test_forged_findings(name):
     golden, forge = FORGED[name]
     t, instance = _run(golden)
-    bad = _reload(t)
-    forge(bad)
-    report = verify_transcript(bad, audit_fuel=2, instance=instance)
+    report = verify_transcript(_forged(t, forge), audit_fuel=2,
+                               instance=instance)
     assert report.counts["refuted"] > 0
     assert digest(report.findings) == DIGESTS[name]

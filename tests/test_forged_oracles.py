@@ -73,3 +73,29 @@ def test_honest_oracles_still_certified(em_run, d2_run):
     for t, instance in (em_run, d2_run[:2]):
         assert verify_transcript(t, audit_fuel=2,
                                  instance=instance).counts["refuted"] == 0
+
+
+FORGED_EXTRACTIONS = ([-5], ["a", 3], [3, None])
+
+
+@pytest.mark.parametrize("with_instance", (False, True),
+                         ids=("alone", "instance"))
+@pytest.mark.parametrize("extraction", FORGED_EXTRACTIONS, ids=repr)
+@pytest.mark.parametrize("kind", ("em", "d2"))
+def test_forged_extraction_refuted(em_run, d2_run, kind, extraction,
+                                   with_instance):
+    # such an extraction used to reach the jump ledger, where a window of
+    # bound 0 or a sort of mixed types raised
+    t, instance = em_run if kind == "em" else d2_run[:2]
+    bad = _reload(t)
+    bad.extraction["B"] = list(extraction)
+    honest = verify_transcript(t, audit_fuel=2,
+                               instance=instance if with_instance else None)
+    report = verify_transcript(bad, audit_fuel=2,
+                               instance=instance if with_instance else None)
+    refuted = [f for f in report.findings if f["grade"] == "refuted"]
+    assert [f["note"] for f in refuted] == [
+        "extracted set is not a list of distinct naturals"]
+    # everything before the ledger is as on the honest transcript
+    at = report.findings.index(refuted[0])
+    assert report.findings[:at] == honest.findings[:at]

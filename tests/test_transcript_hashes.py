@@ -27,29 +27,29 @@ from forcingbench.harness import (
 
 # name: (transcript hash, (certified, provisional, refuted))
 GOLDEN = {
-    "coh": ("1c37b109f7f0b72a0215610c8aa2406f4f706e7533875c6209d5e61b5b8af91c",
+    "coh": ("4559c751914519d5e6bc1104b8d65a699c60f5c080754e61acf7736bb974a104",
             (29, 26, 0)),
-    "em-0": ("bab0e3b02339b839692387f0dafa80a7726c31c9d29f24ad9a869513d930bbac",
+    "em-0": ("72949a17cc26984581f7a5ad6d21e811b8eeee41d753850826e29253e9f41170",
              (106, 185, 0)),
-    "em-1": ("b1c40a500e72657d6f4aa092b361950e6b2d613b5aab9ef97aa39ab7eb050355",
+    "em-1": ("a11eccfa0fcafc0b9158b56807451f21093a9cee8763c9d5dea2abc28dc0ab0f",
              (106, 166, 0)),
-    "em-2": ("95111e157eb67d5ef5ea33df2abb65b8e864c965273c7325d03a5d21f8e53d14",
+    "em-2": ("95a1b5d12b1e39d26bb4e113180aaa3d48237c630eb56e15177c31fc67e95547",
              (106, 170, 0)),
-    "d2-0": ("a5e2dfb3bb4dcc98a33e0e8b2a647d8d62d55ea67a9b4aa4bcf1e22605266a72",
+    "d2-0": ("99fcd54b3d8207d7e00cf5bf9238a685917d13ce2353e04f6455a16f852c7ba1",
              (126, 102, 0)),
-    "d2-1": ("027d03836374849ac6407e49e118fa502b505f864be9a1ce4d24332a4be06d21",
+    "d2-1": ("f3998e4e8a947a6282e914f64eb39b34fc4bbc56f8a6a936945fc23451e9c067",
              (126, 102, 0)),
-    "d2-2": ("f8c7281a6dee308ef07adf20a925911cb4d74ca878ad9f9c23ac381c6050ef61",
+    "d2-2": ("46095f15e3102f804eefed39263f31376d69bb00493f2a11e8f350fd7dde6169",
              (126, 102, 0)),
-    "rt2-0": ("40bbfbff803d5c9513f86f7a5cb6ad692fd113d285cf93476583a01790116397",
+    "rt2-0": ("256ae0a96240a5ec35af669308f3b3b09abf1d2d1bd1fd48cfaf4e4cecbb1a4a",
               (41, 39, 0)),
-    "rt2-1": ("2d48e3633e8a16cdda87863b32ee5cdff948089661c197476fd7340d44b848c2",
+    "rt2-1": ("5f10f0ff674b1f4d465d6b92f2720acc5e361b9d8cd6d62a0d330bbfb3222645",
               (43, 35, 0)),
-    "rt2-2": ("13e25bc25646b9ceaa59e0093413faacecbbfeebb079cb3757c9dd078e22b603",
+    "rt2-2": ("5764df439a0c02ea273d0cf066eaebee733db7dc050e90cb7c4b016f4078b298",
               (43, 41, 0)),
-    "rt2-3": ("f4aaa33b92462589de7d9be62f2d4dede4eebe30881786ed22eefd25454c9713",
+    "rt2-3": ("d5f0e0ad98893038a108f8579fbe72f2879eeee6c8382f9f15af7f9abaec1256",
               (45, 37, 0)),
-    "rt2-4": ("f1f6e42a19aede7777c9759d323d90f9bf87f6a720ddde4524670bb8be42cd98",
+    "rt2-4": ("f29e1e6fe7a9d62cbbaee436efaf69b1b97ca21fe20b412c4f6bd99d9aa7e356",
               (43, 39, 0)),
 }
 

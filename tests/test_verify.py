@@ -21,6 +21,16 @@ def _reload(t: Transcript) -> Transcript:
     return Transcript.from_dict(copy.deepcopy(t.to_dict()))
 
 
+def _forged(t: Transcript, forge) -> Transcript:
+    """`forge` applied to a copy of the transcript in memory, where every
+    stage holds its condition, then written out and read back: a forged
+    condition means what it says, and the auditor reads the written form,
+    in which a repeated condition is None."""
+    bad = copy.deepcopy(t)
+    forge(bad)
+    return _reload(bad)
+
+
 def test_honest_transcript_not_refuted():
     t, _ = _coh_run()
     report = verify_transcript(t, audit_fuel=2)
@@ -30,13 +40,14 @@ def test_honest_transcript_not_refuted():
 
 def test_corrupted_condition_overlap_refuted():
     t, _ = _coh_run()
-    bad = _reload(t)
-    # push a reservoir element into the committed set of a late stage
-    for rec in reversed(bad.stages):
-        if rec.condition.get("reservoir"):
-            rec.condition["F"].append(rec.condition["reservoir"][0])
-            break
-    report = verify_transcript(bad, audit_fuel=2)
+
+    def forge(bad):
+        # push a reservoir element into the committed set of a late stage
+        for rec in reversed(bad.stages):
+            if rec.condition.get("reservoir"):
+                rec.condition["F"].append(rec.condition["reservoir"][0])
+                break
+    report = verify_transcript(_forged(t, forge), audit_fuel=2)
     assert not report.ok
     notes = [f["note"] for f in report.findings if f["grade"] == "refuted"]
     assert any("reservoir" in n or "extension" in n for n in notes)
@@ -44,11 +55,12 @@ def test_corrupted_condition_overlap_refuted():
 
 def test_growing_reservoir_refuted():
     t, _ = _coh_run()
-    bad = _reload(t)
-    last = bad.stages[-1]
-    last.condition["reservoir"].append(last.condition["window_bound"] - 1)
-    last.condition["reservoir"].sort()
-    report = verify_transcript(bad, audit_fuel=2)
+
+    def forge(bad):
+        last = bad.stages[-1]
+        last.condition["reservoir"].append(last.condition["window_bound"] - 1)
+        last.condition["reservoir"].sort()
+    report = verify_transcript(_forged(t, forge), audit_fuel=2)
     assert not report.ok
 
 
