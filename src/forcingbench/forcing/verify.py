@@ -14,11 +14,14 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   it differs from the last one written.  A `null` at the first stage
   repeats nothing and is refuted;
 - D2's decision counters stay within the stage budget;
-- the extracted set is a list of distinct naturals; if it is not, it is
-  refuted here, and neither the ledger nor the instance checks read it;
+- the extracted set is a list of distinct naturals below the run's
+  window (`config["window"]`); if it is not, it is refuted here, and
+  neither the ledger nor the instance checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
-  naturals on which the program self-halts with the recorded steps, use
-  and value; every Case-2 decision survives a wider witness search;
+  naturals below the window on which the program self-halts with the
+  recorded steps, use and value; every Case-2 decision whose committed
+  set and pool are lists of distinct naturals below the window survives
+  a wider witness search, and any other is refuted;
 - the jump ledger: each positive's oracle is a prefix of the extracted
   set, and each negative stays divergent on the extracted set;
 - with the instance: EM's extracted set is fallow (and each aborted EM
@@ -26,10 +29,15 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   the pipeline's set is monochromatic, after the audits of its nested coh
   and D2 transcripts.
 
+No set reaches a machine question unless it is a list of distinct
+naturals below the window, so a forged member costs no more fuel than an
+honest one.
+
 Each fact is computed once per call: a stage's condition sets once (a
 stage recording its predecessor's condition reuses its verdicts), and a
-certificate's replay once, which the ledger reuses.  Nothing is kept
-between calls.
+certificate's replay once, which the ledger reuses.  Facts about programs
+are kept per process (`base.bounded_halt`'s run trees); nothing about a
+transcript is.
 """
 
 from __future__ import annotations
@@ -117,7 +125,19 @@ def _check_chain(t: Transcript, report: AuditReport):
 
 _NOT_A_SET = (
     REFUTED, "halting certificate oracle is not an increasing list of naturals")
+_ORACLE_PAST_WINDOW = (
+    REFUTED, "halting certificate oracle reaches past the window")
 _NOT_NATURALS = "extracted set is not a list of distinct naturals"
+_PAST_WINDOW = "extracted set reaches past the window"
+_NEGATIVE_NOT_SETS = ("negative decision's committed set or pool is not a "
+                      "list of distinct naturals below the window")
+
+
+def _window(t: Transcript) -> int:
+    """The run's window; a forged one that is not an integer admits no
+    member."""
+    window = t.config.get("window")
+    return window if type(window) is int else 0
 
 
 def _lists_naturals(xs) -> bool:
@@ -126,19 +146,28 @@ def _lists_naturals(xs) -> bool:
             and len(set(xs)) == len(xs) and (not xs or min(xs) >= 0))
 
 
+def _below(xs, window: int) -> bool:
+    """Whether every member of the list of naturals `xs` lies below the
+    window, as every set of an honest run does."""
+    return not xs or max(xs) < window
+
+
 def _lists_finite_set(oracle) -> bool:
     """Whether `oracle` lists naturals in strictly increasing order, as an
     honest certificate's oracle does."""
     return _lists_naturals(oracle) and oracle == sorted(oracle)
 
 
-def _replay_positive(rec) -> Tuple[str, str]:
+def _replay_positive(rec, window: int) -> Tuple[str, str]:
     """(grade, note) of a Case-1 certificate: its oracle must be a finite
-    set of naturals on which the program self-halts exactly as recorded."""
+    set of naturals below the window on which the program self-halts
+    exactly as recorded."""
     cert = rec.certificates
     oracle = cert.get("oracle")
     if not _lists_finite_set(oracle):
         return _NOT_A_SET
+    if not _below(oracle, window):
+        return _ORACLE_PAST_WINDOW
     out = bounded_halt(_program_of(rec.requirement), oracle)
     if (out.tag == HALTED and out.steps == cert["steps"]
             and out.use == cert["use"] and out.value == cert["value"]):
@@ -146,7 +175,8 @@ def _replay_positive(rec) -> Tuple[str, str]:
     return REFUTED, "halting certificate does not replay"
 
 
-def _recheck_negative(rec, report: AuditReport, audit_fuel: int):
+def _recheck_negative(rec, report: AuditReport, audit_fuel: int,
+                      window: int):
     # widen the witness search; the step/use bound stays tied to the oracle
     # maximum (that bound is part of the claim being audited, not a budget)
     cert = rec.certificates
@@ -154,10 +184,14 @@ def _recheck_negative(rec, report: AuditReport, audit_fuel: int):
     width = cert.get("search", {}).get("subset_width", 8)
     # part-wise runs confine the question to the recorded pool; witnesses
     # from outside it would not answer the question that was asked
-    pool = cert.get("pool_at_decision", cert["reservoir_at_decision"])
+    pool = cert.get("pool_at_decision", cert.get("reservoir_at_decision"))
+    committed = cert.get("F_at_decision")
+    if not (_lists_naturals(committed) and _below(committed, window)
+            and _lists_naturals(pool) and _below(pool, window)):
+        report.add(REFUTED, _NEGATIVE_NOT_SETS, rec.stage, rec.requirement)
+        return
     w, _ = find_halt_witness(
-        e, tuple(cert["F_at_decision"]), tuple(pool),
-        subset_width=width + audit_fuel,
+        e, tuple(committed), tuple(pool), subset_width=width + audit_fuel,
     )
     if w is None:
         report.add(PROVISIONAL, "negative decision unrefuted by wider search",
@@ -231,9 +265,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         color = t.extraction["color"]
         if not _lists_naturals(h):
             report.add(REFUTED, _NOT_NATURALS)
+        elif not _below(h, _window(t)):
+            report.add(REFUTED, _PAST_WINDOW)
         elif instance is not None:
+            hs = sorted(h)  # the coloring is read on pairs x < y
             bad = [
-                (x, y) for i, x in enumerate(h) for y in h[i + 1:]
+                (x, y) for i, x in enumerate(hs) for y in hs[i + 1:]
                 if instance.value(x, y) != color
             ]
             if bad:
@@ -257,18 +294,22 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
     # the ledger and the instance checks read the extracted set
+    window = _window(t)
     b = t.extraction.get("C" if t.kind == "coh" else "B", [])
     listed = _lists_naturals(b)
     if not listed:
         report.add(REFUTED, _NOT_NATURALS)
+    elif not _below(b, window):
+        listed = False
+        report.add(REFUTED, _PAST_WINDOW)
 
     replays: Dict[int, Tuple[str, str]] = {}
     for i, rec in enumerate(t.stages):
         if rec.branch == CASE1 and rec.requirement.startswith("R"):
-            replays[i] = _replay_positive(rec)
+            replays[i] = _replay_positive(rec, window)
             report.add(*replays[i], rec.stage, rec.requirement)
         elif rec.branch == CASE2 and rec.requirement.startswith("N"):
-            _recheck_negative(rec, report, audit_fuel)
+            _recheck_negative(rec, report, audit_fuel, window)
 
     if listed and t.kind == "d2":
         color = t.extraction.get("color")

@@ -26,7 +26,13 @@ again (every bounded halting question, every audit replay) is decoded
 once.  There is one interpreter loop, `Machine.run`, which keeps the
 machine's state in locals until it stops; `step` is `run(1)`.  A pc past
 the end of the code idles forever, so `run` burns the fuel left at once
-and reports the same step count as stepping through it would.
+and reports the same step count as stepping through it would.  A run
+without a window stops at its first query; `Machine.answered` goes on
+from there with a supplied bit, so one run per program, branched at its
+queries, answers a question about any oracle (by the use principle that
+`run_program` states).  `forcing.base.bounded_halt` answers every bounded
+halting question that way, from one such run tree per program kept for
+the life of the process; `run_program` runs from step 0 each time.
 """
 
 from __future__ import annotations
@@ -221,6 +227,20 @@ class Machine:
             pc += 1
         self.pc, self.steps, self.max_query = pc, steps, max_query
         return running
+
+    def answered(self, bit: int) -> "Machine":
+        """A copy of this oracle-starved machine past the query it stopped
+        at, with `bit` as the answer: the state a run reaches when its
+        window holds `bit` at that index.  The copy keeps this machine's
+        window, so it starves again at its next query outside it."""
+        if self.outcome_tag != ORACLE_INSUFFICIENT:
+            raise ValueError("only an oracle-starved machine takes an answer")
+        m = Machine(self.program, self.x, self.window)
+        m.regs = self.regs.copy()
+        m.regs[self.program.code[self.pc].a % NUM_REGS] = bit
+        m.pc, m.steps = self.pc + 1, self.steps
+        m.max_query = max(self.max_query, self.missing)
+        return m
 
     def outcome(self) -> RunOutcome:
         use = self.max_query + 1
