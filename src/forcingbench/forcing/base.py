@@ -160,9 +160,10 @@ def finite_oracle(members) -> OracleWindow:
     return OracleWindow(tuple(bits))
 
 
-# nodes a program's run tree may hold; past it the tree is dropped and
-# grows again, so memory stays bounded when a looping query program is
-# asked about many distinct sets
+# nodes a program's run tree may hold: a question that finds the tree at
+# the cap drops it and grows it again, so memory stays bounded when a
+# looping query program is asked about many distinct sets (one question
+# adds at most one node per unit of its fuel)
 RUN_TREE_CAP = 64
 
 
@@ -245,10 +246,11 @@ def bounded_halt(e: int, members):
     The answer is `run_program(e, e, finite_oracle(members), fuel)` for
     fuel the window's bound, read off program e's run tree, which this
     process keeps: one run with no oracle, split at each query into the
-    two answers, so no question runs a step that an earlier one ran.  The
-    walk takes the bit `q in members` at each query q below the bound, so
-    negative members are skipped as `finite_oracle` skips them, and a set
-    of negative members only has a bound, and fuel, below 1."""
+    two answers, so a question interprets only the steps that no earlier
+    question on the tree did.  The walk takes the bit `q in members` at
+    each query q below the bound, so negative members are skipped as
+    `finite_oracle` skips them, and a set of negative members only has a
+    bound, and fuel, below 1."""
     return _run_tree(e).outcome(max(members) + 1 if members else 1, members)
 
 
