@@ -23,6 +23,7 @@ from forcingbench.forcing.base import (
 from forcingbench.machine import (
     EMPTY_WINDOW,
     HALTED,
+    OP_QRY,
     ORACLE_INSUFFICIENT,
     Machine,
     OracleWindow,
@@ -122,7 +123,7 @@ def test_tree_past_its_node_cap_is_dropped_and_grows_again():
 
 
 def _parent_query_free_status(e, fuel_cap):
-    if any(ins.op == 7 for ins in decode_program(e).code):
+    if any(ins.op == OP_QRY for ins in decode_program(e).code):
         return ("queries",)
     out = run_program(e, e, EMPTY_WINDOW, fuel_cap)
     if out.tag == HALTED:
