@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
@@ -74,6 +76,55 @@ class D2Condition:
     def valid(self) -> bool:
         return all(committed_below(part, self.reservoir)
                    for part in self.F_parts)
+
+
+def start(window: int, parts: Optional[int] = None):
+    """A run's first condition: nothing committed (in each of `parts` parts,
+    for D2) and the whole window [0, window) reserved."""
+    reservoir = tuple(range(window))
+    if parts is None:
+        return CohCondition((), 0, reservoir, window)
+    return D2Condition(((),) * parts, 0, reservoir, window)
+
+
+def narrowed(cond, reservoir):
+    """`cond` with `reservoir`, a subset of its own, installed."""
+    return replace(cond, I=cond.I + 1, reservoir=tuple(reservoir))
+
+
+def committed(cond, members, part: Optional[int] = None, floor: int = 0):
+    """`cond` with `members` of its reservoir committed (to part `part`, for
+    D2), and a reservoir installed of what lies above them and at or above
+    `floor`; by the condition invariant, that is above every committed
+    member."""
+    if part is None:
+        grown = {"F": tuple(sorted(set(cond.F).union(members)))}
+    else:
+        parts = list(cond.F_parts)
+        parts[part] = tuple(sorted(set(parts[part]).union(members)))
+        grown = {"F_parts": tuple(parts)}
+    low = max(max(members, default=-1) + 1, floor)
+    return replace(cond, I=cond.I + 1, **grown,
+                   reservoir=tuple(z for z in cond.reservoir if z >= low))
+
+
+_LABEL = re.compile(r"(D|E\+?|R|N)_(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?")
+
+
+def parse_label(label) -> Optional[Tuple[str, int, Optional[int]]]:
+    """(kind, index, color) of a requirement label such as "D_3", "E+_2",
+    "R_5" or, for D2, "N_5^1"; color is None without "^".  None for
+    anything else, which no schedule gives out."""
+    return _parse_label(label) if isinstance(label, str) else None
+
+
+@lru_cache(maxsize=4096)  # every run gives out R_0, R_1, ... again
+def _parse_label(label: str):
+    m = _LABEL.fullmatch(label)
+    if m is None:
+        return None
+    kind, index, color = m.groups()
+    return kind, int(index), None if color is None else int(color)
 
 
 def condition_sets(d: Dict, parts: bool):
@@ -292,9 +343,12 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
     Enumerates D over all subsets of the first `subset_width` reservoir
     members plus every singleton, in a fixed order (empty set first, then
     increasing bitmask / increasing singleton).  `extra_filter(F ∪ D)` can
-    veto candidates (fallowness constraints).  Query-free programs shortcut
-    to a single fuel question.  Returns (HaltWitness | None, search record);
-    the fuel is the oracle bound itself, so the record names no fuel.
+    veto candidates (fallowness constraints).  A query-free program's
+    outcome depends only on the fuel, so unless the largest available fuel
+    makes it halt nothing does, and its candidates are the empty set and
+    then each singleton, the last of which is that fuel again.  Returns
+    (HaltWitness | None, search record); the fuel is the oracle bound
+    itself, so the record names no fuel.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
@@ -313,29 +367,18 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
 
     if not queries_oracle(e):
         record["query_free"] = True
-        # outcome depends only on the fuel bound; try the largest available
-        top = attempt((reservoir[-1],) if reservoir else ())
-        if top is None:
+        if attempt(reservoir[-1:]) is None:
             return None, record
-        # shrink to the least sufficient singleton (or the empty set)
-        w = attempt(())
-        if w is not None:
-            return w, record
-        for z in reservoir:
-            w = attempt((z,))
-            if w is not None:
-                return w, record
-        return top, record
-
-    width = record["subset_width"]
-    head = reservoir[:width]
-    for mask in range(1 << width):
-        added = tuple(head[t] for t in range(width) if mask >> t & 1)
+        candidates = chain([()], ((z,) for z in reservoir))
+    else:
+        width = record["subset_width"]
+        head = reservoir[:width]
+        candidates = chain(
+            (tuple(head[t] for t in range(width) if mask >> t & 1)
+             for mask in range(1 << width)),
+            ((z,) for z in reservoir[width:]))
+    for added in candidates:
         w = attempt(added)
-        if w is not None:
-            return w, record
-    for z in reservoir[width:]:
-        w = attempt((z,))
         if w is not None:
             return w, record
     return None, record
@@ -576,22 +619,22 @@ class State:
     condition: "CohCondition | D2Condition"
     decided: Dict[str, Dict] = field(default_factory=dict)
     blocked: Tuple[str, ...] = ()
-    counters: Tuple[int, ...] = ()  # D2's decisions per color
     cursor: int = 0  # where the engine's schedule resumes its scan
 
 
 def settle(state: State, stage: int, label: str, branch: str, cond,
-           cert: Dict, entry: Optional[Dict] = None, block: bool = False,
-           requirement: Optional[str] = None) -> StageRecord:
+           cert: Dict, entry: Optional[Dict] = None,
+           block: bool = False) -> StageRecord:
     """End a stage in condition `cond`, booking `label` as decided (`entry`
-    plus the stage) or blocked; the record names `requirement` or `label`."""
+    plus the stage) or blocked.  The record names `label`, or for Case 2,
+    where R_e is answered negatively, N_e."""
     state.condition = cond
     if entry is not None:
         state.decided[label] = {"stage": stage, **entry}
     if block:
         state.blocked += (label,)
-    return StageRecord(stage, requirement or label, branch,
-                       condition_dict(cond), cert)
+    return StageRecord(stage, "N" + label[1:] if branch == CASE2 else label,
+                       branch, condition_dict(cond), cert)
 
 
 def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
@@ -603,33 +646,21 @@ def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
                         or settle(state, s, "-", SKIP, state.condition, {}))
         if not state.condition.valid():
             raise AssertionError("condition invariant broken")
-        if sum(state.counters) > s + 1:  # one decision per stage at most
-            raise AssertionError("counter budget exceeded")
     return t
 
 
 def force_step(state: State, stage: int, label: str, k: int, cap: int,
-               compat, witness, narrow, negative: Dict, stall: str,
-               color: Optional[int] = None) -> StageRecord:
+               compat, witness, negative: Dict, stall: str) -> StageRecord:
     """One EM or D2 stage for `label`: `_find_bad_partition` asks the plain
     predicate `compat` about pieces of the reservoir.  Case 1: `witness()`
-    gives the committed (condition, certificate) or None.  Case 2:
-    `narrow(kept)` gives the condition over the kept piece, and the
-    certificate gets the `negative` fields.  A stalled size requirement is
-    blocked with reason `stall`.  With a `color` (D2), Case-1 and Case-2
-    certificates carry the decision counts per color; a Case-1 entry in
-    `decided` does not."""
+    gives the committed (condition, certificate) or None.  Case 2: the
+    kept piece is installed as the reservoir, and the certificate gets the
+    `negative` fields.  A stalled size requirement is blocked with reason
+    `stall`."""
     cond = state.condition
 
     def abort(cert):
         return settle(state, stage, label, ABORT, cond, cert, block=True)
-
-    def count(cert):
-        if color is None:
-            return cert
-        state.counters = tuple(n + (i == color)
-                               for i, n in enumerate(state.counters))
-        return {**cert, "counters": list(state.counters)}
 
     try:
         bad = _find_bad_partition(cond.reservoir, k, compat, cap)
@@ -641,13 +672,12 @@ def force_step(state: State, stage: int, label: str, k: int, cap: int,
             return abort({"reason":
                           "question answered yes but no class witness found"})
         new_cond, cert = found
-        return settle(state, stage, label, CASE1, new_cond, count(cert),
-                      entry=cert)
+        return settle(state, stage, label, CASE1, new_cond, cert, entry=cert)
     if label.startswith("E"):
         # size is never forced negatively, only starved by the window
         return abort({"reason": stall, "partition": [list(p) for p in bad]})
     kept, cert = restrict_to_piece(cond.reservoir, cond.window_bound, bad)
-    cert = count({**cert, "answer": "no", **negative})
+    cert = {**cert, "answer": "no", **negative}
     return settle(state, stage, label, CASE2,
-                  cond if kept is None else narrow(kept), cert, entry=cert,
-                  requirement="N" + label[1:])
+                  cond if kept is None else narrowed(cond, kept), cert,
+                  entry=cert)

@@ -23,14 +23,17 @@ from .base import (
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
-    CohCondition,
     StageRecord,
     State,
+    committed,
     digest,
     find_halt_witness,
     halt_cert,
+    narrowed,
+    parse_label,
     run_stages,
     settle,
+    start,
 )
 
 
@@ -44,20 +47,6 @@ class CohConfig:
 
 def family_digest(family: Sequence[SetPresentation], window: int) -> str:
     return digest([list(r.window.bits[:window]) for r in family])
-
-
-def initial_condition(window: int) -> CohCondition:
-    return CohCondition(F=(), I=0, reservoir=tuple(range(window)),
-                        window_bound=window)
-
-
-def _above(cond: CohCondition, new_f) -> CohCondition:
-    """Commit `new_f`; the reservoir keeps only what lies above it."""
-    new_f = tuple(sorted(new_f))
-    top = new_f[-1] if new_f else -1
-    return CohCondition(new_f, cond.I + 1,
-                        tuple(x for x in cond.reservoir if x > top),
-                        cond.window_bound)
 
 
 def _next_requirement(state: State, family_size: int, stage: int,
@@ -91,8 +80,7 @@ def coh_step(state: State, family: Sequence[SetPresentation],
     label = _next_requirement(state, len(family), stage, config.schedule)
     if label is None:
         return None
-    kind, _, num = label.partition("_")
-    n = int(num)
+    kind, n, _ = parse_label(label)
 
     if kind == "E":
         need = n - len(cond.F)
@@ -102,7 +90,7 @@ def coh_step(state: State, family: Sequence[SetPresentation],
                           {"reason": "reservoir exhausted"})
         cert = {"added": list(added)}
         return settle(state, stage, label, E_EXTENSION,
-                      _above(cond, cond.F + added), cert, entry=cert)
+                      committed(cond, added), cert, entry=cert)
 
     if kind == "R":
         witness, search = find_halt_witness(
@@ -110,14 +98,13 @@ def coh_step(state: State, family: Sequence[SetPresentation],
         if witness is not None:
             cert = halt_cert(witness, search, key="D")
             return settle(state, stage, label, CASE1,
-                          _above(cond, witness.members), cert, entry=cert)
+                          committed(cond, witness.added), cert, entry=cert)
         cert = {
             "answer": "no", "search": search,
             "F_at_decision": list(cond.F),
             "reservoir_at_decision": list(cond.reservoir),
         }
-        return settle(state, stage, label, CASE2, cond, cert, entry=cert,
-                      requirement=f"N_{n}")
+        return settle(state, stage, label, CASE2, cond, cert, entry=cert)
 
     # D_n: confine the reservoir to one side of the n-th set
     if not cond.reservoir:
@@ -145,16 +132,15 @@ def coh_step(state: State, family: Sequence[SetPresentation],
         cert["reason"] = "density witness lost"
         return settle(state, stage, label, ABORT, cond, cert,
                       entry={"aborted": True, **cert})
-    new_cond = CohCondition(cond.F, cond.I + 1, survivors, cond.window_bound)
-    return settle(state, stage, label, D_RESTRICTION, new_cond, cert,
-                  entry=cert)
+    return settle(state, stage, label, D_RESTRICTION,
+                  narrowed(cond, survivors), cert, entry=cert)
 
 
 def run_coh(family: Sequence[SetPresentation], stages: int,
             config: Optional[CohConfig] = None):
     """Run the construction; returns (Transcript, C prefix)."""
     config = config or CohConfig()
-    state = State(initial_condition(config.window))
+    state = State(start(config.window))
     t = run_stages(
         "coh", family_digest(family, config.window), {
             "stages": stages, "window": config.window,

@@ -9,23 +9,25 @@ per-color decision counters sum to at most the stage number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
 from .base import (
     CASE1,
     CASE2,
-    D2Condition,
     StageRecord,
     State,
     Transcript,
+    committed,
     digest,
     find_halt_witness,
     force_step,
     halt_cert,
     halt_compat,
+    parse_label,
     run_stages,
+    start,
 )
 
 
@@ -85,37 +87,19 @@ def _next_d2_requirement(state: State, k: int) -> Optional[str]:
     return None
 
 
-def _parse_label(label: str):
-    kind, rest = label[0], label[2:]
-    e, i = rest.split("^")
-    return kind, int(e), int(i)
-
-
-def initial_d2_condition(d: Delta2Partition,
-                         config: D2Config) -> D2Condition:
-    window = min(config.window, d.bound)
-    return D2Condition(F_parts=((),) * d.k, I=0,
-                       reservoir=tuple(range(window)), window_bound=window)
-
-
 def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
-            part_of: Tuple[int, ...]) -> Optional[StageRecord]:
-    """One stage; `part_of[z]` is the limit part of window member z."""
+            part_of: Tuple[int, ...],
+            counters: List[int]) -> Optional[StageRecord]:
+    """One stage; `part_of[z]` is the limit part of window member z, and
+    `counters[i]` counts the requirements of color i decided so far."""
     cond = state.condition
     label = _next_d2_requirement(state, d.k)
     if label is None:
         return None
-    kind, e, color = _parse_label(label)
+    kind, e, color = parse_label(label)
     window = cond.window_bound
     f_color = cond.F_parts[color]
     pool = tuple(z for z in cond.reservoir if part_of[z] == color)
-
-    def commit(extra) -> D2Condition:
-        new_parts = list(cond.F_parts)
-        new_parts[color] = tuple(sorted(set(f_color) | set(extra)))
-        top = max((x for p in new_parts for x in p), default=-1)
-        survivors = tuple(z for z in cond.reservoir if z > top)
-        return D2Condition(tuple(new_parts), cond.I + 1, survivors, window)
 
     if kind == "E":
         need = max(e - len(f_color), 0)
@@ -127,7 +111,8 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
         def witness():
             extra = pool[:need]
             if len(extra) == need:
-                return commit(extra), {"E": list(extra), "answer": "yes"}
+                return (committed(cond, extra, part=color),
+                        {"E": list(extra), "answer": "yes"})
     else:
         compat = halt_compat(
             e, f_color, window, config.subset_width,
@@ -139,14 +124,21 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
             w, search = find_halt_witness(e, f_color, pool,
                                           subset_width=config.subset_width)
             if w is not None:
-                return commit(w.added), halt_cert(w, search)
+                return (committed(cond, w.added, part=color),
+                        halt_cert(w, search))
 
-    return force_step(
+    rec = force_step(
         state, stage, label, d.k, config.partition_cap, compat, witness,
-        lambda kept: D2Condition(cond.F_parts, cond.I + 1, kept, window),
         {"F_at_decision": list(f_color), "pool_at_decision": list(pool),
          "search": {"subset_width": config.subset_width}},
-        "no piece holds enough of the part; stalled", color)
+        "no piece holds enough of the part; stalled")
+    if rec.branch not in (CASE1, CASE2):
+        return rec
+    counters[color] += 1
+    if sum(counters) > stage + 1:  # one decision per stage at most
+        raise AssertionError("counter budget exceeded")
+    return replace(rec, certificates={**rec.certificates,
+                                      "counters": list(counters)})
 
 
 class InconclusiveSelection(RuntimeError):
@@ -162,12 +154,12 @@ def select_color(t: Transcript, horizon: int) -> int:
     for rec in t.stages[:horizon]:
         if rec.branch not in (CASE1, CASE2):
             continue
-        name = rec.requirement
-        if "^" not in name:
+        label = parse_label(rec.requirement)
+        if label is None or label[2] is None:
             continue
-        i = int(name.split("^")[1])
+        kind, _, i = label
         counts[i] += 1
-        if name.startswith("E") and rec.branch == CASE2:
+        if kind == "E" and rec.branch == CASE2:
             positive_e[i] = False
     if not any(counts):
         raise InconclusiveSelection("no decided requirement at this horizon")
@@ -181,23 +173,25 @@ def select_color(t: Transcript, horizon: int) -> int:
 def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
     config = config or D2Config()
-    state = State(initial_d2_condition(d, config), counters=(0,) * d.k)
-    part_of = tuple(d.limit_part(z)
-                    for z in range(state.condition.window_bound))
+    window = min(config.window, d.bound)
+    state = State(start(window, parts=d.k))
+    part_of = tuple(d.limit_part(z) for z in range(window))
+    counters = [0] * d.k
     t = run_stages(
         "d2", partition_digest(d), {
-            "stages": stages, "window": state.condition.window_bound,
+            "stages": stages, "window": window,
             "subset_width": config.subset_width,
             "partition_cap": config.partition_cap,
             "k": d.k,
-        }, state, lambda st, s: d2_step(st, d, config, s, part_of), stages)
+        }, state,
+        lambda st, s: d2_step(st, d, config, s, part_of, counters), stages)
     color = select_color(t, stages)
     b = state.condition.F_parts[color]
     t.extraction = {
         "color": color,
         "B": list(b),
         "F_parts": [list(p) for p in state.condition.F_parts],
-        "counters": list(state.counters),
+        "counters": counters,
         "blocked": list(state.blocked),
     }
     return t, (color, b)

@@ -30,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..approx import Coloring
 from .base import (
-    CohCondition,
     StageRecord,
     State,
     color_rows,
+    committed,
     digest,
     fallow_check,
     find_halt_witness,
@@ -41,8 +41,10 @@ from .base import (
     halt_cert,
     halt_compat,
     limit_color,
+    parse_label,
     run_stages,
     stabilization_point,
+    start,
 )
 # re-exported: the tests and perfbench's tracer reach the bad-partition
 # search, which EM and D2 share, under this module
@@ -189,8 +191,7 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
     label = _next_em_requirement(state)
     if label is None:
         return None
-    kind, _, num = label.partition("_")
-    n = int(num)
+    kind, n, _ = parse_label(label)
     F, window, limits = cond.F, cond.window_bound, ext.limits
 
     def classes(members):
@@ -201,13 +202,12 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
     def keeps_fallow(s) -> bool:
         return ext.allows(F, s)
 
-    def commit(new_f, cert, part_class):
-        m = max((stab[x] for x in new_f), default=0)
-        top = max(new_f) if new_f else -1
-        survivors = tuple(z for z in cond.reservoir if z >= m and z > top)
-        new_cond = CohCondition(tuple(sorted(new_f)), cond.I + 1, survivors,
-                                window)
-        return new_cond, {**cert, "m": m, "class": part_class}
+    def commit(added, cert, part_class):
+        # the reservoir keeps only what lies past every committed column's
+        # stabilization point
+        m = max((stab[x] for x in (*F, *added)), default=0)
+        return (committed(cond, added, floor=m),
+                {**cert, "m": m, "class": part_class})
 
     if kind == "E+":
         need = n - len(F)  # positive: E+_n is due only while |F| < n
@@ -233,8 +233,7 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
                         key=lambda f: (max(f[1]), f[1]), default=None)
             if found is not None:
                 i, extra = found
-                return commit(tuple(sorted(set(F) | set(extra))),
-                              {"E": list(extra)}, i)
+                return commit(extra, {"E": list(extra)}, i)
     else:
         compat = halt_compat(
             n, F, window, config.subset_width, classes,
@@ -246,11 +245,10 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
                     n, F, pool, subset_width=config.subset_width,
                     extra_filter=keeps_fallow)
                 if w is not None:
-                    return commit(w.members, halt_cert(w, search), i)
+                    return commit(w.added, halt_cert(w, search), i)
 
     return force_step(
         state, stage, label, c.k, config.partition_cap, compat, witness,
-        lambda kept: CohCondition(F, cond.I + 1, kept, window),
         {"F_at_decision": list(F),
          "search": {"subset_width": config.subset_width}},
         "no extendable piece; requirement stalled")
@@ -260,8 +258,7 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
     config = config or EmConfig()
     window = min(config.window, c.bound)
-    state = State(CohCondition(F=(), I=0, reservoir=tuple(range(window)),
-                               window_bound=window))
+    state = State(start(window))
     limits: Dict[int, int] = {}
     for z in range(window):
         cl = limit_color(c, z, window - 1)

@@ -58,6 +58,7 @@ from .base import (
     extends_sets,
     fallow_check,
     find_halt_witness,
+    parse_label,
 )
 
 CERTIFIED = "certified"
@@ -82,11 +83,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return self.counts[REFUTED] == 0
-
-
-def _program_of(requirement: str) -> int:
-    # "R_5", "N_5", "R_5^1", "N_5^0" -> 5
-    return int(requirement.split("_")[1].split("^")[0])
 
 
 def _check_chain(t: Transcript, report: AuditReport):
@@ -123,16 +119,6 @@ def _check_chain(t: Transcript, report: AuditReport):
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-_NOT_A_SET = (
-    REFUTED, "halting certificate oracle is not an increasing list of naturals")
-_ORACLE_PAST_WINDOW = (
-    REFUTED, "halting certificate oracle reaches past the window")
-_NOT_NATURALS = "extracted set is not a list of distinct naturals"
-_PAST_WINDOW = "extracted set reaches past the window"
-_NEGATIVE_NOT_SETS = ("negative decision's committed set or pool is not a "
-                      "list of distinct naturals below the window")
-
-
 def _window(t: Transcript) -> int:
     """The run's window; a forged one that is not an integer admits no
     member."""
@@ -140,55 +126,56 @@ def _window(t: Transcript) -> int:
     return window if type(window) is int else 0
 
 
-def _lists_naturals(xs) -> bool:
-    """Whether `xs` is a list of distinct naturals, as an extracted set is."""
-    return (isinstance(xs, list) and set(map(type, xs)) <= {int}
-            and len(set(xs)) == len(xs) and (not xs or min(xs) >= 0))
+def _set_fault(xs, window: int, name: str,
+               increasing: bool = False) -> Optional[str]:
+    """None when `xs` is a list of distinct naturals below the window (in
+    increasing order, with `increasing`), as every set of an honest run is;
+    else what is wrong with it, naming it `name`."""
+    if not (isinstance(xs, list) and set(map(type, xs)) <= {int}
+            and len(set(xs)) == len(xs) and (not xs or min(xs) >= 0)
+            and (not increasing or xs == sorted(xs))):
+        return f"{name} is not " + ("an increasing list of naturals"
+                                    if increasing
+                                    else "a list of distinct naturals")
+    if xs and max(xs) >= window:
+        return f"{name} reaches past the window"
+    return None
 
 
-def _below(xs, window: int) -> bool:
-    """Whether every member of the list of naturals `xs` lies below the
-    window, as every set of an honest run does."""
-    return not xs or max(xs) < window
-
-
-def _lists_finite_set(oracle) -> bool:
-    """Whether `oracle` lists naturals in strictly increasing order, as an
-    honest certificate's oracle does."""
-    return _lists_naturals(oracle) and oracle == sorted(oracle)
-
-
-def _replay_positive(rec, window: int) -> Tuple[str, str]:
-    """(grade, note) of a Case-1 certificate: its oracle must be a finite
-    set of naturals below the window on which the program self-halts
-    exactly as recorded."""
+def _replay_positive(rec, e: int, window: int) -> Tuple[Tuple[str, str],
+                                                        bool]:
+    """((grade, note), whether the oracle lists a finite set) of a Case-1
+    certificate for program e: its oracle must be a finite set of naturals
+    below the window on which e self-halts exactly as recorded."""
     cert = rec.certificates
     oracle = cert.get("oracle")
-    if not _lists_finite_set(oracle):
-        return _NOT_A_SET
-    if not _below(oracle, window):
-        return _ORACLE_PAST_WINDOW
-    out = bounded_halt(_program_of(rec.requirement), oracle)
+    fault = _set_fault(oracle, window, "halting certificate oracle",
+                       increasing=True)
+    if fault is not None:
+        # one past the window still lists a finite set
+        return (REFUTED, fault), fault.endswith("window")
+    out = bounded_halt(e, oracle)
     if (out.tag == HALTED and out.steps == cert["steps"]
             and out.use == cert["use"] and out.value == cert["value"]):
-        return CERTIFIED, "halting certificate replays"
-    return REFUTED, "halting certificate does not replay"
+        return (CERTIFIED, "halting certificate replays"), True
+    return (REFUTED, "halting certificate does not replay"), True
 
 
-def _recheck_negative(rec, report: AuditReport, audit_fuel: int,
+def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
                       window: int):
     # widen the witness search; the step/use bound stays tied to the oracle
     # maximum (that bound is part of the claim being audited, not a budget)
     cert = rec.certificates
-    e = _program_of(rec.requirement)
     width = cert.get("search", {}).get("subset_width", 8)
     # part-wise runs confine the question to the recorded pool; witnesses
     # from outside it would not answer the question that was asked
     pool = cert.get("pool_at_decision", cert.get("reservoir_at_decision"))
     committed = cert.get("F_at_decision")
-    if not (_lists_naturals(committed) and _below(committed, window)
-            and _lists_naturals(pool) and _below(pool, window)):
-        report.add(REFUTED, _NEGATIVE_NOT_SETS, rec.stage, rec.requirement)
+    if (_set_fault(committed, window, "committed set") is not None
+            or _set_fault(pool, window, "pool") is not None):
+        report.add(REFUTED, "negative decision's committed set or pool is "
+                   "not a list of distinct naturals below the window",
+                   rec.stage, rec.requirement)
         return
     w, _ = find_halt_witness(
         e, tuple(committed), tuple(pool), subset_width=width + audit_fuel,
@@ -203,7 +190,7 @@ def _recheck_negative(rec, report: AuditReport, audit_fuel: int,
 
 
 def _jump_ledger(t: Transcript, extracted, report: AuditReport,
-                 replays: Dict[int, Tuple[str, str]],
+                 replays: Dict[int, Tuple[Tuple[str, str], bool]],
                  color: Optional[int] = None):
     """Decided R/N entries against the extracted set: positives must replay
     on the extracted prefix verbatim, negatives must stay divergent on it.
@@ -212,34 +199,33 @@ def _jump_ledger(t: Transcript, extracted, report: AuditReport,
     the extracted set."""
     ext = sorted(extracted)
     for i, rec in enumerate(t.stages):
-        if color is not None:
-            if "^" not in rec.requirement:
-                continue
-            if int(rec.requirement.split("^")[1]) != color:
-                continue
-        if rec.branch == CASE1 and rec.requirement.startswith("R"):
+        negative = rec.branch == CASE2 and rec.requirement.startswith("N")
+        if i not in replays and not negative:
+            continue
+        label = parse_label(rec.requirement)
+        if color is not None and label[2] != color:
+            continue
+        if not negative:
             oracle = rec.certificates.get("oracle")
             if oracle is None:
                 continue
+            verdict, listed = replays[i]
             # a prefix check needs a finite set; the verdict refutes others
-            if replays[i] != _NOT_A_SET and ext[:bisect_right(
+            if listed and ext[:bisect_right(
                     ext, oracle[-1] if oracle else -1)] != oracle:
                 report.add(REFUTED,
                            "extracted set disagrees with certificate oracle",
                            rec.stage, rec.requirement)
                 continue
-            report.add(*replays[i], rec.stage, rec.requirement)
-        elif rec.branch == CASE2 and rec.requirement.startswith("N"):
-            e = _program_of(rec.requirement)
-            out = bounded_halt(e, ext)
-            if out.tag == HALTED:
-                report.add(REFUTED,
-                           "negative decision halts on the extracted prefix",
-                           rec.stage, rec.requirement)
-            else:
-                report.add(PROVISIONAL,
-                           "extracted prefix stays divergent",
-                           rec.stage, rec.requirement)
+            report.add(*verdict, rec.stage, rec.requirement)
+        elif bounded_halt(label[1], ext).tag == HALTED:
+            report.add(REFUTED,
+                       "negative decision halts on the extracted prefix",
+                       rec.stage, rec.requirement)
+        else:
+            report.add(PROVISIONAL,
+                       "extracted prefix stays divergent",
+                       rec.stage, rec.requirement)
 
 
 def verify_transcript(t: Transcript, audit_fuel: int = 2,
@@ -263,10 +249,9 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.counts[g] += n
         h = t.extraction["H"]
         color = t.extraction["color"]
-        if not _lists_naturals(h):
-            report.add(REFUTED, _NOT_NATURALS)
-        elif not _below(h, _window(t)):
-            report.add(REFUTED, _PAST_WINDOW)
+        fault = _set_fault(h, _window(t), "extracted set")
+        if fault is not None:
+            report.add(REFUTED, fault)
         elif instance is not None:
             hs = sorted(h)  # the coloring is read on pairs x < y
             bad = [
@@ -296,22 +281,21 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     # the ledger and the instance checks read the extracted set
     window = _window(t)
     b = t.extraction.get("C" if t.kind == "coh" else "B", [])
-    listed = _lists_naturals(b)
-    if not listed:
-        report.add(REFUTED, _NOT_NATURALS)
-    elif not _below(b, window):
-        listed = False
-        report.add(REFUTED, _PAST_WINDOW)
+    fault = _set_fault(b, window, "extracted set")
+    if fault is not None:
+        report.add(REFUTED, fault)
 
-    replays: Dict[int, Tuple[str, str]] = {}
+    replays: Dict[int, Tuple[Tuple[str, str], bool]] = {}
     for i, rec in enumerate(t.stages):
         if rec.branch == CASE1 and rec.requirement.startswith("R"):
-            replays[i] = _replay_positive(rec, window)
-            report.add(*replays[i], rec.stage, rec.requirement)
+            e = parse_label(rec.requirement)[1]
+            replays[i] = _replay_positive(rec, e, window)
+            report.add(*replays[i][0], rec.stage, rec.requirement)
         elif rec.branch == CASE2 and rec.requirement.startswith("N"):
-            _recheck_negative(rec, report, audit_fuel, window)
+            e = parse_label(rec.requirement)[1]
+            _recheck_negative(rec, e, report, audit_fuel, window)
 
-    if listed and t.kind == "d2":
+    if fault is None and t.kind == "d2":
         color = t.extraction.get("color")
         _jump_ledger(t, b, report, replays, color=color)
         if instance is not None and color is not None:
@@ -321,7 +305,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             else:
                 report.add(CERTIFIED,
                            f"extracted set inside part {color}")
-    elif listed:
+    elif fault is None:
         _jump_ledger(t, b, report, replays)
         if t.kind == "em" and instance is not None:
             fr = fallow_check(instance, b)
