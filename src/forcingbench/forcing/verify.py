@@ -14,14 +14,18 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   it differs from the last one written.  A `null` at the first stage
   repeats nothing and is refuted;
 - D2's decision counters stay within the stage budget;
-- the extracted set is a list of distinct naturals below the run's
-  window (`config["window"]`); if it is not, it is refuted here, and
-  neither the ledger nor the instance checks read it;
+- the run's window (`config["window"]`) is its first stage's window
+  bound; if it is not, it is refuted, and the audit reads the smaller;
+- the extracted set is a list of distinct naturals below the window; if
+  it is not, it is refuted here, and neither the ledger nor the instance
+  checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
   recorded steps, use and value; every Case-2 decision whose committed
-  set and pool are lists of distinct naturals below the window survives
-  a wider witness search, and any other is refuted;
+  set and pool are lists of distinct naturals below the window, and whose
+  recorded subset width lies within the run's, survives a wider witness
+  search, and any other is refuted, as is a decided requirement whose name
+  `base.parse_label` cannot read;
 - the jump ledger: each positive's oracle is a prefix of the extracted
   set, and each negative stays divergent on the extracted set;
 - with the instance: EM's extracted set is fallow (and each aborted EM
@@ -119,11 +123,18 @@ def _check_chain(t: Transcript, report: AuditReport):
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
-def _window(t: Transcript) -> int:
-    """The run's window; a forged one that is not an integer admits no
+def _window(t: Transcript, report: AuditReport) -> int:
+    """The run's window, `config["window"]`.  For coh, EM and D2 it is also
+    the first stage's window bound: where the two differ, the transcript is
+    refuted and the smaller is read.  One that is not an integer admits no
     member."""
-    window = t.config.get("window")
-    return window if type(window) is int else 0
+    windows = [t.config.get("window")]
+    if t.stages and isinstance(t.stages[0].condition, dict):
+        windows.append(t.stages[0].condition.get("window_bound"))
+        if windows[0] != windows[1]:
+            report.add(REFUTED, "window differs from the first stage's "
+                       "window bound")
+    return min(w if type(w) is int else 0 for w in windows)
 
 
 def _set_fault(xs, window: int, name: str,
@@ -162,11 +173,13 @@ def _replay_positive(rec, e: int, window: int) -> Tuple[Tuple[str, str],
 
 
 def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
-                      window: int):
-    # widen the witness search; the step/use bound stays tied to the oracle
-    # maximum (that bound is part of the claim being audited, not a budget)
+                      window: int, max_width):
+    """Widen the witness search of a Case-2 decision for program e by
+    `audit_fuel`; the step/use bound stays tied to the oracle maximum (that
+    bound is part of the claim being audited, not a budget).  Its recorded
+    subset width must lie within the run's, `max_width`: the re-search
+    costs 2^(width + audit_fuel) questions."""
     cert = rec.certificates
-    width = cert.get("search", {}).get("subset_width", 8)
     # part-wise runs confine the question to the recorded pool; witnesses
     # from outside it would not answer the question that was asked
     pool = cert.get("pool_at_decision", cert.get("reservoir_at_decision"))
@@ -176,6 +189,13 @@ def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
         report.add(REFUTED, "negative decision's committed set or pool is "
                    "not a list of distinct naturals below the window",
                    rec.stage, rec.requirement)
+        return
+    search = cert.get("search")
+    width = search.get("subset_width") if isinstance(search, dict) else None
+    if not (type(width) is int and type(max_width) is int
+            and 0 <= width <= max_width):
+        report.add(REFUTED, "negative decision's subset width is not an "
+                   "integer from 0 to the run's", rec.stage, rec.requirement)
         return
     w, _ = find_halt_witness(
         e, tuple(committed), tuple(pool), subset_width=width + audit_fuel,
@@ -199,11 +219,13 @@ def _jump_ledger(t: Transcript, extracted, report: AuditReport,
     the extracted set."""
     ext = sorted(extracted)
     for i, rec in enumerate(t.stages):
-        negative = rec.branch == CASE2 and rec.requirement.startswith("N")
-        if i not in replays and not negative:
+        if rec.branch not in (CASE1, CASE2):
             continue
         label = parse_label(rec.requirement)
-        if color is not None and label[2] != color:
+        if label is None or color is not None and label[2] != color:
+            continue  # an unreadable name is refuted by the main pass
+        negative = rec.branch == CASE2 and label[0] == "N"
+        if i not in replays and not negative:
             continue
         if not negative:
             oracle = rec.certificates.get("oracle")
@@ -249,7 +271,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.counts[g] += n
         h = t.extraction["H"]
         color = t.extraction["color"]
-        fault = _set_fault(h, _window(t), "extracted set")
+        fault = _set_fault(h, _window(t, report), "extracted set")
         if fault is not None:
             report.add(REFUTED, fault)
         elif instance is not None:
@@ -279,7 +301,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
     # the ledger and the instance checks read the extracted set
-    window = _window(t)
+    window = _window(t, report)
     b = t.extraction.get("C" if t.kind == "coh" else "B", [])
     fault = _set_fault(b, window, "extracted set")
     if fault is not None:
@@ -287,13 +309,18 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
 
     replays: Dict[int, Tuple[Tuple[str, str], bool]] = {}
     for i, rec in enumerate(t.stages):
-        if rec.branch == CASE1 and rec.requirement.startswith("R"):
-            e = parse_label(rec.requirement)[1]
-            replays[i] = _replay_positive(rec, e, window)
+        if rec.branch not in (CASE1, CASE2):
+            continue
+        label = parse_label(rec.requirement)
+        if label is None:
+            report.add(REFUTED, "decided requirement's name is unreadable",
+                       rec.stage, rec.requirement)
+        elif rec.branch == CASE1 and label[0] == "R":
+            replays[i] = _replay_positive(rec, label[1], window)
             report.add(*replays[i][0], rec.stage, rec.requirement)
-        elif rec.branch == CASE2 and rec.requirement.startswith("N"):
-            e = parse_label(rec.requirement)[1]
-            _recheck_negative(rec, e, report, audit_fuel, window)
+        elif rec.branch == CASE2 and label[0] == "N":
+            _recheck_negative(rec, label[1], report, audit_fuel, window,
+                              t.config.get("subset_width"))
 
     if fault is None and t.kind == "d2":
         color = t.extraction.get("color")
