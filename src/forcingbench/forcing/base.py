@@ -4,26 +4,31 @@ A condition is a pair (finite committed set, reservoir).  A reservoir is
 a plain sorted tuple of members of the run's window [0, window_bound); side
 selection runs on the window's bit tuple.  `I` numbers the reservoirs a run
 has installed: 0 for the initial window, one more at every step that
-installs a new reservoir.
+installs a new reservoir.  This module builds every condition a run
+holds: `start` the first, `narrowed` and `committed` each later one, and
+only these two install a reservoir.  It also reads every requirement
+label (`parse_label`).
 
 "Infinite" always means: the window density witness meets a configured
 count beyond the committed maximum.  Every acceptance of that surrogate is
 recorded so an audit can demand more.
 
 The stage engine: `run_stages` passes a run's `State` to the engine's step
-once per stage, and every stage ends in `settle`, which records it and
-books its label as decided or blocked.  EM and D2 share `force_step`: is
-there a finite stage of the reservoir on which every partition into k
-pieces leaves some piece extendable for the requirement?  A "bad"
-partition of the whole window decides it: extendability (`compat`) is
-inherited by subsets, so a bad partition of the window restricts to one of
-every finite stage, and the window is itself a stage.  Without one (Case
-1) a witness is committed; with one (Case 2) an infinite piece of it is
-kept and the negative answer recorded.  Engines supply only their
-mathematics: requirement schedule, `compat`, witness finder and commit.
-The committed sets, `decided` and `blocked` only grow, so no requirement
-code below the first free one frees up again: every engine's schedule
-scans from `State.cursor`, the code it last gave out.
+once per stage, and every stage ends in `settle`, which records it, names
+a Case-2 record N_e after its requirement R_e, and books the label as
+decided or blocked.  EM and D2 share `force_step`: is there a finite stage
+of the reservoir on which every partition into k pieces leaves some piece
+extendable for the requirement?  A "bad" partition of the whole window
+decides it: extendability (`compat`) is inherited by subsets, so a bad
+partition of the window restricts to one of every finite stage, and the
+window is itself a stage.  Without one (Case 1) a witness is committed;
+with one (Case 2) an infinite piece of it is kept and the negative answer
+recorded.  An engine hands `force_step` only its mathematics: the label
+its schedule gives out, `compat`, a witness finder that returns the
+committed condition, and the fields of a negative certificate.  The
+committed sets, `decided` and `blocked` only grow, so no requirement code
+below the first free one frees up again: every engine's schedule scans
+from `State.cursor`, the code it last gave out.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def parse_label(label) -> Optional[Tuple[str, int, Optional[int]]]:
     return _parse_label(label) if isinstance(label, str) else None
 
 
-@lru_cache(maxsize=4096)  # every run gives out R_0, R_1, ... again
+@lru_cache(maxsize=4096)  # the same few labels recur in every run and audit
 def _parse_label(label: str):
     m = _LABEL.fullmatch(label)
     if m is None:

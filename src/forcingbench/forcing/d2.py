@@ -3,8 +3,9 @@
 Conditions are tuples (F^0, ..., F^{k-1}, reservoir).  Requirements carry
 a color: code 2e addresses E_e (grow F^i to size e), code 2e+1 addresses
 R_e (self-halting of program e relative to F^i), ordered lexicographically
-by (code, color).  Each stage decides exactly one requirement, so the
-per-color decision counters sum to at most the stage number.
+by (code, color).  Each stage decides at most one requirement, so the
+per-color decision counters, which this module keeps and writes into each
+Case-1 and Case-2 certificate, sum to at most the number of stages run.
 """
 
 from __future__ import annotations
