@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
@@ -92,9 +92,12 @@ def start(window: int, parts: Optional[int] = None):
     return D2Condition(((),) * parts, 0, reservoir, window)
 
 
+# both condition kinds take (committed, I, reservoir, window_bound)
 def narrowed(cond, reservoir):
     """`cond` with `reservoir`, a subset of its own, installed."""
-    return replace(cond, I=cond.I + 1, reservoir=tuple(reservoir))
+    return type(cond)(cond.F_parts if isinstance(cond, D2Condition)
+                      else cond.F, cond.I + 1, tuple(reservoir),
+                      cond.window_bound)
 
 
 def committed(cond, members, part: Optional[int] = None, floor: int = 0):
@@ -103,14 +106,15 @@ def committed(cond, members, part: Optional[int] = None, floor: int = 0):
     `floor`; by the condition invariant, that is above every committed
     member."""
     if part is None:
-        grown = {"F": tuple(sorted(set(cond.F).union(members)))}
+        grown = tuple(sorted(set(cond.F).union(members)))
     else:
         parts = list(cond.F_parts)
         parts[part] = tuple(sorted(set(parts[part]).union(members)))
-        grown = {"F_parts": tuple(parts)}
+        grown = tuple(parts)
     low = max(max(members, default=-1) + 1, floor)
-    return replace(cond, I=cond.I + 1, **grown,
-                   reservoir=tuple(z for z in cond.reservoir if z >= low))
+    return type(cond)(grown, cond.I + 1,
+                      tuple(z for z in cond.reservoir if z >= low),
+                      cond.window_bound)
 
 
 _LABEL = re.compile(r"(D|E\+?|R|N)_(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?")
