@@ -124,11 +124,11 @@ def parse_label(label) -> Optional[Tuple[str, int, Optional[int]]]:
     """(kind, index, color) of a requirement label such as "D_3", "E+_2",
     "R_5" or, for D2, "N_5^1"; color is None without "^".  None for
     anything else, which no schedule gives out."""
-    return _parse_label(label) if isinstance(label, str) else None
+    return _read_label(label) if isinstance(label, str) else None
 
 
 @lru_cache(maxsize=4096)  # the same few labels recur in every run and audit
-def _parse_label(label: str):
+def _read_label(label: str):
     m = _LABEL.fullmatch(label)
     if m is None:
         return None
