@@ -76,22 +76,12 @@ class SetPresentation:
 class Delta2Presentation:
     """A two-argument 0/1 approximator f(n, s); membership is its s-limit."""
 
-    table: Optional[Tuple[Tuple[int, ...], ...]] = None  # table[n][s]
-    approximator: Optional[int] = None  # program on input <n, s>
-    budget: int = 256
+    table: Tuple[Tuple[int, ...], ...]  # table[n][s]
     promised_bound: Optional[int] = None
 
     def value(self, n: int, s: int) -> int:
-        if self.table is not None:
-            row = self.table[n]
-            v = row[s] if s < len(row) else row[-1]
-        else:
-            out = run_program(self.approximator, cantor(n, s), EMPTY_WINDOW, self.budget)
-            if out.tag != HALTED:
-                raise MalformedPresentationError(
-                    f"approximator did not halt at (n={n}, s={s})"
-                )
-            v = out.value
+        row = self.table[n]
+        v = row[s] if s < len(row) else row[-1]
         if v not in (0, 1):
             raise MalformedPresentationError(
                 f"approximator output {v!r} at (n={n}, s={s}) is not 0/1"
@@ -108,24 +98,32 @@ class LimitValue:
 UNSTABLE = None  # returned where a limit fails to settle before the guard
 
 
-def limit_value(d: Delta2Presentation, n: int, stage_budget: int) -> Optional[LimitValue]:
-    """Last-stable value of f(n, .) over stages [0, stage_budget].
+def settles_at(value, low: int, top: int) -> int:
+    """The least t in [low, top] with value(s) the same for every s in
+    [t, top], read from the top down; top, reading nothing, when low > top."""
+    t = top
+    if low <= top:
+        final = value(top)
+        while t > low and value(t - 1) == final:
+            t -= 1
+    return t
 
-    Unstable when the approximation still flips inside the final quarter of
-    the budget (the guard interval).
-    """
+
+def _guarded_limit(limit, value, low: int, top: int):
+    """limit(value(top), settles_at(value, low, top)), or UNSTABLE when the
+    value still changes inside the guard interval, the final quarter of
+    [0, top]."""
+    t = settles_at(value, low, top)
+    return UNSTABLE if t > top - top // 4 else limit(value(top), t)
+
+
+def limit_value(d: Delta2Presentation, n: int, stage_budget: int) -> Optional[LimitValue]:
+    """Last-stable value of f(n, .) over stages [0, stage_budget]; unstable
+    inside the guard interval."""
     if stage_budget < 1:
         raise ValueError("stage_budget must be >= 1")
-    final = d.value(n, stage_budget)
-    t = stage_budget
-    for s in range(stage_budget - 1, -1, -1):
-        if d.value(n, s) != final:
-            break
-        t = s
-    guard_start = stage_budget - stage_budget // 4
-    if t > guard_start:
-        return UNSTABLE
-    return LimitValue(final, t)
+    return _guarded_limit(LimitValue, lambda s: d.value(n, s), 0,
+                          stage_budget)
 
 
 @dataclass(frozen=True)
@@ -178,16 +176,7 @@ def stable_color_limit(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]
     """
     if budget <= x + 1:
         raise ValueError(f"budget {budget} leaves no room above x={x}")
-    final = c.value(x, budget)
-    t = budget
-    for y in range(budget - 1, x, -1):
-        if c.value(x, y) != final:
-            break
-        t = y
-    guard_start = budget - budget // 4
-    if t > guard_start:
-        return None
-    return ColorLimit(final, t)
+    return _guarded_limit(ColorLimit, lambda y: c.value(x, y), x + 1, budget)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
                        OracleWindow, RunOutcome, decode_program)
-from ..approx import Coloring, ColorLimit, stable_color_limit
+from ..approx import Coloring, ColorLimit, settles_at, stable_color_limit
 from ..omega_model import select_part
 
 CASE1 = "Case1"
@@ -520,14 +520,7 @@ def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
     """Least m with c(x, y) constant for all y in [m, window_bound); exact on
     the window.  A column with no pair above it inside the window reads no
     pair and gives window_bound - 1, where the scan starts."""
-    m = window_bound - 1
-    if x < m:
-        final = c.value(x, m)
-        for y in range(m - 1, x, -1):
-            if c.value(x, y) != final:
-                break
-            m = y
-    return m
+    return settles_at(lambda y: c.value(x, y), x + 1, window_bound - 1)
 
 
 @dataclass(frozen=True)

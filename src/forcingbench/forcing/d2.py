@@ -10,7 +10,7 @@ Case-1 and Case-2 certificate, sum to at most the number of stages run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
@@ -64,10 +64,12 @@ def partition_digest(d: Delta2Partition) -> str:
     })
 
 
+SUBSET_WIDTH = 8  # the width of every witness search
+
+
 @dataclass(frozen=True)
 class D2Config:
     window: int = 64
-    subset_width: int = 8
     partition_cap: int = 3 ** 9
 
 
@@ -116,14 +118,14 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
                         {"E": list(extra), "answer": "yes"})
     else:
         compat = halt_compat(
-            e, f_color, window, config.subset_width,
+            e, f_color, window, SUBSET_WIDTH,
             lambda piece: (tuple(sorted(z for z in piece
                                         if part_of[z] == color)),),
             lambda z: part_of[z] == color)
 
         def witness():
             w, search = find_halt_witness(e, f_color, pool,
-                                          subset_width=config.subset_width)
+                                          subset_width=SUBSET_WIDTH)
             if w is not None:
                 return (committed(cond, w.added, part=color),
                         halt_cert(w, search))
@@ -131,15 +133,14 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
     rec = force_step(
         state, stage, label, d.k, config.partition_cap, compat, witness,
         {"F_at_decision": list(f_color), "pool_at_decision": list(pool),
-         "search": {"subset_width": config.subset_width}},
+         "search": {"subset_width": SUBSET_WIDTH}},
         "no piece holds enough of the part; stalled")
-    if rec.branch not in (CASE1, CASE2):
-        return rec
-    counters[color] += 1
-    if sum(counters) > stage + 1:  # one decision per stage at most
-        raise AssertionError("counter budget exceeded")
-    return replace(rec, certificates={**rec.certificates,
-                                      "counters": list(counters)})
+    if rec.branch in (CASE1, CASE2):
+        counters[color] += 1
+        if sum(counters) > stage + 1:  # one decision per stage at most
+            raise AssertionError("counter budget exceeded")
+        rec.certificates["counters"] = list(counters)
+    return rec
 
 
 class InconclusiveSelection(RuntimeError):
@@ -181,7 +182,7 @@ def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     t = run_stages(
         "d2", partition_digest(d), {
             "stages": stages, "window": window,
-            "subset_width": config.subset_width,
+            "subset_width": SUBSET_WIDTH,
             "partition_cap": config.partition_cap,
             "k": d.k,
         }, state,

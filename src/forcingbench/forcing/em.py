@@ -276,11 +276,11 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
         }, state, lambda st, s: em_step(st, c, config, s, ext, stab),
         stages)
     final = state.condition
+    flags = em_clause_flags(c, final.F, final.reservoir, config.density_min)
     t.extraction = {
         "B": list(final.F),
-        "fallow": fallow_check(c, final.F).ok,
+        "fallow": "iv-fallow" in flags,
         "blocked": list(state.blocked),
-        "final_flags": list(em_clause_flags(c, final.F, final.reservoir,
-                                            config.density_min)),
+        "final_flags": list(flags),
     }
     return t, tuple(final.F)

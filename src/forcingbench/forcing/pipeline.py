@@ -28,11 +28,14 @@ class PipelineInconclusive(RuntimeError):
         self.column = column
 
 
+# the nested coh run's density count and witness-search width
+DENSITY_MIN = 2
+SUBSET_WIDTH = 6
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     d2_stages: int = 40
-    density_min: int = 2
-    subset_width: int = 6
 
 
 def column_family(c: Coloring):
@@ -59,8 +62,8 @@ def rt2_pipeline(c: Coloring, stages: int,
         raise ValueError("the pair pipeline handles 2 colors")
     config = config or PipelineConfig()
     coh_cfg = CohConfig(
-        window=c.bound, density_min=config.density_min,
-        subset_width=config.subset_width, schedule="committed-columns",
+        window=c.bound, density_min=DENSITY_MIN, subset_width=SUBSET_WIDTH,
+        schedule="committed-columns",
     )
     t_coh, committed = run_coh(column_family(c), stages, coh_cfg)
     decided = t_coh.extraction["decided"]
@@ -112,8 +115,8 @@ def rt2_pipeline(c: Coloring, stages: int,
         instance_hash=coloring_digest(c),
         config={
             "stages": stages, "d2_stages": config.d2_stages,
-            "window": c.bound, "density_min": config.density_min,
-            "subset_width": config.subset_width,
+            "window": c.bound, "density_min": DENSITY_MIN,
+            "subset_width": SUBSET_WIDTH,
         },
     )
     t.extraction = {

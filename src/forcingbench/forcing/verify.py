@@ -209,45 +209,38 @@ def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
                    rec.stage, rec.requirement)
 
 
-def _jump_ledger(t: Transcript, extracted, report: AuditReport,
-                 replays: Dict[int, Tuple[Tuple[str, str], bool]],
+def _jump_ledger(entries, extracted, report: AuditReport,
                  color: Optional[int] = None):
-    """Decided R/N entries against the extracted set: positives must replay
-    on the extracted prefix verbatim, negatives must stay divergent on it.
-    A positive's replay is the main pass's verdict, `replays[i]` for stage
-    record i.  For part-wise runs only the selected color's entries concern
-    the extracted set."""
+    """The main pass's decided R/N entries, each (record, parsed label, the
+    record's replay for a positive or None for a negative), against the
+    extracted set: positives must replay on the extracted prefix verbatim,
+    negatives must stay divergent on it.  For part-wise runs only the
+    selected color's entries concern the extracted set."""
     ext = sorted(extracted)
-    for i, rec in enumerate(t.stages):
-        if rec.branch not in (CASE1, CASE2):
+    for rec, (_, e, c), replay in entries:
+        if color is not None and c != color:
             continue
-        label = parse_label(rec.requirement)
-        if label is None or color is not None and label[2] != color:
-            continue  # an unreadable name is refuted by the main pass
-        negative = rec.branch == CASE2 and label[0] == "N"
-        if i not in replays and not negative:
-            continue
-        if not negative:
-            oracle = rec.certificates.get("oracle")
-            if oracle is None:
-                continue
-            verdict, listed = replays[i]
-            # a prefix check needs a finite set; the verdict refutes others
-            if listed and ext[:bisect_right(
-                    ext, oracle[-1] if oracle else -1)] != oracle:
+        if replay is None:
+            if bounded_halt(e, ext).tag == HALTED:
                 report.add(REFUTED,
-                           "extracted set disagrees with certificate oracle",
+                           "negative decision halts on the extracted prefix",
                            rec.stage, rec.requirement)
-                continue
-            report.add(*verdict, rec.stage, rec.requirement)
-        elif bounded_halt(label[1], ext).tag == HALTED:
+            else:
+                report.add(PROVISIONAL, "extracted prefix stays divergent",
+                           rec.stage, rec.requirement)
+            continue
+        oracle = rec.certificates.get("oracle")
+        if oracle is None:
+            continue
+        verdict, listed = replay
+        # a prefix check needs a finite set; the verdict refutes others
+        if listed and ext[:bisect_right(
+                ext, oracle[-1] if oracle else -1)] != oracle:
             report.add(REFUTED,
-                       "negative decision halts on the extracted prefix",
+                       "extracted set disagrees with certificate oracle",
                        rec.stage, rec.requirement)
-        else:
-            report.add(PROVISIONAL,
-                       "extracted prefix stays divergent",
-                       rec.stage, rec.requirement)
+            continue
+        report.add(*verdict, rec.stage, rec.requirement)
 
 
 def verify_transcript(t: Transcript, audit_fuel: int = 2,
@@ -307,8 +300,8 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     if fault is not None:
         report.add(REFUTED, fault)
 
-    replays: Dict[int, Tuple[Tuple[str, str], bool]] = {}
-    for i, rec in enumerate(t.stages):
+    entries = []  # (record, parsed label, replay) of each decided R or N
+    for rec in t.stages:
         if rec.branch not in (CASE1, CASE2):
             continue
         label = parse_label(rec.requirement)
@@ -316,25 +309,26 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             report.add(REFUTED, "decided requirement's name is unreadable",
                        rec.stage, rec.requirement)
         elif rec.branch == CASE1 and label[0] == "R":
-            replays[i] = _replay_positive(rec, label[1], window)
-            report.add(*replays[i][0], rec.stage, rec.requirement)
+            replay = _replay_positive(rec, label[1], window)
+            report.add(*replay[0], rec.stage, rec.requirement)
+            entries.append((rec, label, replay))
         elif rec.branch == CASE2 and label[0] == "N":
             _recheck_negative(rec, label[1], report, audit_fuel, window,
                               t.config.get("subset_width"))
+            entries.append((rec, label, None))
 
-    if fault is None and t.kind == "d2":
-        color = t.extraction.get("color")
-        _jump_ledger(t, b, report, replays, color=color)
-        if instance is not None and color is not None:
+    color = t.extraction.get("color") if t.kind == "d2" else None
+    if fault is None:
+        _jump_ledger(entries, b, report, color)
+    if fault is None and instance is not None:
+        if t.kind == "d2" and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
             if off:
                 report.add(REFUTED, f"elements outside the selected part: {off}")
             else:
                 report.add(CERTIFIED,
                            f"extracted set inside part {color}")
-    elif fault is None:
-        _jump_ledger(t, b, report, replays)
-        if t.kind == "em" and instance is not None:
+        elif t.kind == "em":
             fr = fallow_check(instance, b)
             if fr.ok:
                 report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")

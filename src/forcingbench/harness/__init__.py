@@ -7,7 +7,7 @@ from .generators import (  # noqa: F401
     gen_table_tree,
 )
 from .instances import Instance, parse_instance, load_instance  # noqa: F401
-from .oracles import OracleReport, brute_oracle, monochromatic  # noqa: F401
+from .oracles import brute_oracle, monochromatic  # noqa: F401
 from .transcripts import (  # noqa: F401
     canonical_json,
     emit_transcript,

@@ -128,14 +128,10 @@ class PathDecisionLog:
     decisions: Tuple[PathDecision, ...]
 
 
-def prefix_window(node: Node) -> OracleWindow:
-    return OracleWindow(node)
-
-
 def forces_halt(e: int, node: Node):
     """Bounded self-halting along a path prefix: fuel and oracle both come
     from the prefix itself.  Monotone in the prefix."""
-    return run_program(e, e, prefix_window(node), max(len(node), 1))
+    return run_program(e, e, OracleWindow(node), max(len(node), 1))
 
 
 def low_basis_path(t, e_bound: int, depth: int) -> Tuple[Node, PathDecisionLog]:
