@@ -354,8 +354,9 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
     increasing bitmask / increasing singleton).  `extra_filter(F ∪ D)` can
     veto candidates (fallowness constraints).  A query-free program's
     outcome depends only on the fuel, so unless the largest available fuel
-    makes it halt nothing does, and its candidates are the empty set and
-    then each singleton, the last of which is that fuel again.  Returns
+    makes it halt nothing does (asked before any veto: a smaller candidate
+    the filter passes may halt too), and its candidates are the empty set
+    and then each singleton, the last of which is that fuel again.  Returns
     (HaltWitness | None, search record); the fuel is the oracle bound
     itself, so the record names no fuel.
     """
@@ -376,7 +377,7 @@ def find_halt_witness(e, F, reservoir, subset_width: int = 8,
 
     if not queries_oracle(e):
         record["query_free"] = True
-        if attempt(reservoir[-1:]) is None:
+        if bounded_halt(e, sorted(base.union(reservoir[-1:]))).tag != HALTED:
             return None, record
         candidates = chain([()], ((z,) for z in reservoir))
     else:

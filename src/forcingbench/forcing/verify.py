@@ -55,6 +55,9 @@ from .base import (
     ABORT,
     CASE1,
     CASE2,
+    D_RESTRICTION,
+    E_EXTENSION,
+    SKIP,
     Transcript,
     bounded_halt,
     committed_below,
@@ -68,6 +71,10 @@ from .base import (
 CERTIFIED = "certified"
 PROVISIONAL = "provisional"
 REFUTED = "refuted"
+
+# the branches a run of each kind writes: coh's, and EM's and D2's
+_BRANCHES = {"coh": (CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT, SKIP)}
+_FORCING_BRANCHES = (CASE1, CASE2, ABORT, SKIP)
 
 
 @dataclass
@@ -94,7 +101,9 @@ def _check_chain(t: Transcript, report: AuditReport):
     each stage and the one before.  A stage recording its predecessor's
     condition, or None for it, repeats that verdict and extends it
     trivially; every other stage's sets are built once and compared as the
-    next stage's `prev`.  A None with no stage before it is refuted once."""
+    next stage's `prev`.  A None with no stage before it is refuted once,
+    and so is each condition that is not a mapping of the sets its kind
+    writes; neither is compared with any other."""
     parts = t.kind == "d2"
     prev = prev_sets = None
     if t.stages and t.stages[0].condition is None:
@@ -106,9 +115,14 @@ def _check_chain(t: Transcript, report: AuditReport):
             if prev is None:
                 continue  # nothing to repeat; refuted above
         elif rec.condition != prev:
-            sets, notes = condition_sets(rec.condition, parts), []
-            # D2's union lies below the reservoir iff each of its parts does
-            valid = committed_below(sets[1], sets[2])
+            try:
+                sets, notes = condition_sets(rec.condition, parts), []
+                # D2's union lies below the reservoir iff each part does
+                valid = committed_below(sets[1], sets[2])
+            except (KeyError, TypeError):
+                report.add(REFUTED, "condition is malformed", rec.stage,
+                           rec.requirement)
+                continue
             if prev_sets is not None:
                 extended = extends_sets(sets, prev_sets, notes)
             prev, prev_sets = rec.condition, sets
@@ -166,8 +180,8 @@ def _replay_positive(rec, e: int, window: int) -> Tuple[Tuple[str, str],
         # one past the window still lists a finite set
         return (REFUTED, fault), fault.endswith("window")
     out = bounded_halt(e, oracle)
-    if (out.tag == HALTED and out.steps == cert["steps"]
-            and out.use == cert["use"] and out.value == cert["value"]):
+    if (out.tag == HALTED and out.steps == cert.get("steps")
+            and out.use == cert.get("use") and out.value == cert.get("value")):
         return (CERTIFIED, "halting certificate replays"), True
     return (REFUTED, "halting certificate does not replay"), True
 
@@ -282,15 +296,35 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
 
     _check_chain(t, report)
 
+    # a record whose branch its kind never writes, or whose certificates
+    # are not a mapping, is refuted here and read by no later check
+    branches = _BRANCHES.get(t.kind, _FORCING_BRANCHES)
+    records = []
+    for s, rec in enumerate(t.stages):
+        if rec.branch not in branches:
+            report.add(REFUTED, "branch is not one its kind writes",
+                       rec.stage, rec.requirement)
+        elif not isinstance(rec.certificates, dict):
+            report.add(REFUTED, "certificates are not a mapping",
+                       rec.stage, rec.requirement)
+        else:
+            records.append((s, rec))
+
     if t.kind == "d2":
         total = 0
-        for s, rec in enumerate(t.stages):
+        for s, rec in records:
             counters = rec.certificates.get("counters")
-            if counters is not None:
-                if sum(counters) > s + 1:
-                    report.add(REFUTED, "decision counters exceed stage budget",
-                               rec.stage, rec.requirement)
-                total = sum(counters)
+            if counters is None:
+                continue
+            if not (isinstance(counters, list)
+                    and set(map(type, counters)) <= {int}):
+                report.add(REFUTED, "decision counters are not a list of "
+                           "integers", rec.stage, rec.requirement)
+                continue
+            if sum(counters) > s + 1:
+                report.add(REFUTED, "decision counters exceed stage budget",
+                           rec.stage, rec.requirement)
+            total = sum(counters)
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
     # the ledger and the instance checks read the extracted set
@@ -301,7 +335,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         report.add(REFUTED, fault)
 
     entries = []  # (record, parsed label, replay) of each decided R or N
-    for rec in t.stages:
+    for _, rec in records:
         if rec.branch not in (CASE1, CASE2):
             continue
         label = parse_label(rec.requirement)
@@ -335,7 +369,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             else:
                 report.add(REFUTED, f"fallow violation {fr.violation}")
     if t.kind == "em" and instance is not None:
-        for rec in t.stages:
+        for _, rec in records:
             if rec.branch == ABORT:
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),

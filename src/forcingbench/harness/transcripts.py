@@ -35,6 +35,7 @@ def emit_transcript(t: Transcript, destination: str) -> tuple:
 
 
 _REQUIRED = ("kind", "instance_hash", "config", "stages", "extraction", "version")
+_STAGE_KEYS = ("stage", "requirement", "branch", "condition", "certificates")
 
 
 def load_transcript(path: str, expect_hash: Optional[str] = None) -> Transcript:
@@ -63,6 +64,9 @@ def load_transcript(path: str, expect_hash: Optional[str] = None) -> Transcript:
     if not isinstance(doc["stages"], list):
         raise TranscriptFormatError("stages must be a list")
     for i, st in enumerate(doc["stages"]):
-        if not isinstance(st, dict) or "branch" not in st:
-            raise TranscriptFormatError(f"stage {i} malformed: no branch field")
+        if not isinstance(st, dict):
+            raise TranscriptFormatError(f"stage {i} is not an object")
+        for key in _STAGE_KEYS:
+            if key not in st:
+                raise TranscriptFormatError(f"stage {i} has no {key!r} field")
     return Transcript.from_dict(doc)
