@@ -12,8 +12,12 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   whose condition is `null` (None) records the condition of the stage
   before it: transcript format version 2 writes a condition out only when
   it differs from the last one written.  A `null` at the first stage
-  repeats nothing and is refuted;
-- D2's decision counters stay within the stage budget;
+  repeats nothing and is refuted, and so is a condition the check cannot
+  read (not a mapping, or without the sets its kind writes);
+- every stage's branch is one its kind writes, and its certificates are a
+  mapping; a stage that breaks either is refuted here and read by no
+  later pass;
+- D2's decision counters are integers within the stage budget;
 - the run's window (`config["window"]`) is its first stage's window
   bound; if it is not, it is refuted, and the audit reads the smaller;
 - the extracted set is a list of distinct naturals below the window; if
@@ -21,13 +25,15 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
-  recorded steps, use and value; every Case-2 decision whose committed
-  set and pool are lists of distinct naturals below the window, and whose
-  recorded subset width lies within the run's, survives a wider witness
-  search, and any other is refuted, as is a decided requirement whose name
-  `base.parse_label` cannot read;
-- the jump ledger: each positive's oracle is a prefix of the extracted
-  set, and each negative stays divergent on the extracted set;
+  recorded steps, use and value (one it does not record is refuted);
+  every Case-2 decision whose committed set and pool are lists of
+  distinct naturals below the window, and whose recorded subset width
+  lies within the run's, survives a wider witness search, and any other
+  is refuted, as is a decided requirement whose name `base.parse_label`
+  cannot read;
+- the jump ledger, over the decided R/N records the main pass hands it
+  with their parsed names and replays: each positive's oracle is a prefix
+  of the extracted set, and each negative stays divergent on it;
 - with the instance: EM's extracted set is fallow (and each aborted EM
   stage is reported provisional), D2's lies in the selected part, and
   the pipeline's set is monochromatic, after the audits of its nested coh
