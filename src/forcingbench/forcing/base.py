@@ -36,9 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
@@ -533,16 +534,15 @@ class StageRecord:
     certificates: Dict
 
     def to_dict(self) -> Dict:
-        return {
-            "stage": self.stage,
-            "requirement": self.requirement,
-            "branch": self.branch,
-            "condition": self.condition,
-            "certificates": self.certificates,
-        }
+        return dict(vars(self))
 
 
 TRANSCRIPT_VERSION = 2
+
+
+class TranscriptFormatError(ValueError):
+    """A written transcript whose structure `Transcript.from_dict` cannot
+    read."""
 
 
 @dataclass
@@ -568,33 +568,43 @@ class Transcript:
                     d["condition"] = None
                 last = s.condition
             stages.append(d)
-        return {
-            "version": self.version,
-            "kind": self.kind,
-            "instance_hash": self.instance_hash,
-            "config": self.config,
-            "stages": stages,
-            "extraction": self.extraction,
-            "audits": self.audits,
-        }
+        return {**vars(self), "stages": stages}
 
     @staticmethod
-    def from_dict(d: Dict) -> "Transcript":
-        return Transcript(
-            kind=d["kind"],
-            instance_hash=d["instance_hash"],
-            config=d["config"],
-            stages=[
-                StageRecord(
-                    s["stage"], s["requirement"], s["branch"],
-                    s["condition"], s["certificates"],
-                )
-                for s in d["stages"]
-            ],
-            extraction=d["extraction"],
-            audits=d["audits"],
-            version=d["version"],
-        )
+    def from_dict(d) -> "Transcript":
+        """The one reader of a written transcript's structure: an object
+        with every field, format version 2, `config` and `extraction`
+        objects, and `stages` a list of objects with every `StageRecord`
+        field.  Anything else raises TranscriptFormatError; what the fields
+        hold is the auditor's to check."""
+        if not isinstance(d, dict):
+            raise TranscriptFormatError("top level must be an object")
+        names = [f.name for f in fields(Transcript)]
+        missing = [k for k in names if k not in d]
+        if missing:
+            raise TranscriptFormatError(
+                f"missing fields: {', '.join(missing)}")
+        if d["version"] != TRANSCRIPT_VERSION:
+            raise TranscriptFormatError(
+                f"transcript format version {d['version']!r} is not read "
+                f"here, only version {TRANSCRIPT_VERSION}; "
+                "tools/transcript_v1_to_v2.py converts a version 1 transcript")
+        for key in ("config", "extraction"):
+            if not isinstance(d[key], dict):
+                raise TranscriptFormatError(f"{key} must be an object")
+        if not isinstance(d["stages"], list):
+            raise TranscriptFormatError("stages must be a list")
+        read = itemgetter(*(f.name for f in fields(StageRecord)))
+        stages = []
+        for i, s in enumerate(d["stages"]):
+            if not isinstance(s, dict):
+                raise TranscriptFormatError(f"stage {i} is not an object")
+            try:
+                stages.append(StageRecord(*read(s)))
+            except KeyError as exc:  # the first field in order it lacks
+                raise TranscriptFormatError(
+                    f"stage {i} has no {exc.args[0]!r} field") from None
+        return Transcript(**{**{k: d[k] for k in names}, "stages": stages})
 
 
 def condition_dict(cond) -> Dict:

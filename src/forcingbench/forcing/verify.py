@@ -7,22 +7,28 @@ far as a bounded re-check can see), refuted (contradicted by replay).
 
 `verify_transcript` makes these passes, in this order of findings:
 
-- the extension chain: every stage's condition is valid (its committed
-  set stays below its reservoir) and extends the stage before's.  A stage
-  whose condition is `null` (None) records the condition of the stage
+- the record pass, before every other: a stage record is refuted here,
+  once, and read by no later pass, if its branch is not one its kind
+  writes (an RT2 transcript writes no stage of its own, and a kind no run
+  writes has none), its certificates are not a mapping, its `stage` is
+  not its position, or its condition is one the chain cannot read (not a
+  mapping, or without the sets its kind writes);
+- the extension chain, over the records read (for RT2, the audits of its
+  nested coh and D2 transcripts instead, each read by
+  `Transcript.from_dict`; one it cannot read is one refuted finding):
+  every condition is valid (its committed set stays below its reservoir)
+  and extends the one before.  A condition `null` (None) is the one
   before it: transcript format version 2 writes a condition out only when
-  it differs from the last one written.  A `null` at the first stage
-  repeats nothing and is refuted, and so is a condition the check cannot
-  read (not a mapping, or without the sets its kind writes);
-- every stage's branch is one its kind writes, and its certificates are a
-  mapping; a stage that breaks either is refuted here and read by no
-  later pass;
-- D2's decision counters are integers within the stage budget;
-- the run's window (`config["window"]`) is its first stage's window
-  bound; if it is not, it is refuted, and the audit reads the smaller;
-- the extracted set is a list of distinct naturals below the window; if
-  it is not, it is refuted here, and neither the ledger nor the instance
-  checks read it;
+  it differs from the last one written.  A `null` at the first record
+  repeats nothing and is refuted;
+- D2's decision counters are integers within the budget of their
+  record's stage number;
+- the run's window (`config["window"]`) is its first read record's
+  window bound; if it is not, it is refuted, and the audit reads the
+  smaller;
+- the extracted set (coh's `C`, RT2's `H`, else `B`) is a list of
+  distinct naturals below the window; if it is not, it is refuted here,
+  and neither the ledger nor the instance checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
   recorded steps, use and value (one it does not record is refuted);
@@ -36,8 +42,7 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   of the extracted set, and each negative stays divergent on it;
 - with the instance: EM's extracted set is fallow (and each aborted EM
   stage is reported provisional), D2's lies in the selected part, and
-  the pipeline's set is monochromatic, after the audits of its nested coh
-  and D2 transcripts.
+  the pipeline's set is monochromatic.
 
 No set reaches a machine question unless it is a list of distinct
 naturals below the window, so a forged member costs no more fuel than an
@@ -65,6 +70,7 @@ from .base import (
     E_EXTENSION,
     SKIP,
     Transcript,
+    TranscriptFormatError,
     bounded_halt,
     committed_below,
     condition_sets,
@@ -78,9 +84,12 @@ CERTIFIED = "certified"
 PROVISIONAL = "provisional"
 REFUTED = "refuted"
 
-# the branches a run of each kind writes: coh's, and EM's and D2's
-_BRANCHES = {"coh": (CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT, SKIP)}
-_FORCING_BRANCHES = (CASE1, CASE2, ABORT, SKIP)
+# the branches a run of each kind writes; an RT2 run writes no stage of
+# its own, only its nested coh and D2 transcripts
+_BRANCHES = {"coh": (CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT, SKIP),
+             "em": (CASE1, CASE2, ABORT, SKIP),
+             "d2": (CASE1, CASE2, ABORT, SKIP),
+             "rt2": ()}
 
 
 @dataclass
@@ -102,36 +111,54 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
-def _check_chain(t: Transcript, report: AuditReport):
-    """Validity of every stage's condition, and the extension order between
-    each stage and the one before.  A stage recording its predecessor's
-    condition, or None for it, repeats that verdict and extends it
-    trivially; every other stage's sets are built once and compared as the
-    next stage's `prev`.  A None with no stage before it is refuted once,
-    and so is each condition that is not a mapping of the sets its kind
-    writes; neither is compared with any other."""
+def _read_records(t: Transcript, report: AuditReport):
+    """The records later passes read, as (record, its condition's sets,
+    whether the last sets read are valid); the sets are None for a
+    condition that is None or repeats the last one read.  Every other
+    record is refuted here, once (see the module docstring)."""
+    branches = _BRANCHES.get(t.kind, ()) if isinstance(t.kind, str) else ()
     parts = t.kind == "d2"
-    prev = prev_sets = None
-    if t.stages and t.stages[0].condition is None:
-        report.add(REFUTED, "first stage repeats no earlier condition",
-                   t.stages[0].stage, t.stages[0].requirement)
-    for rec in t.stages:
-        extended = True
-        if rec.condition is None:
-            if prev is None:
-                continue  # nothing to repeat; refuted above
-        elif rec.condition != prev:
+    records, last, valid = [], None, None
+    for s, rec in enumerate(t.stages):
+        sets = fault = None
+        if rec.branch not in branches:
+            fault = "branch is not one its kind writes"
+        elif not isinstance(rec.certificates, dict):
+            fault = "certificates are not a mapping"
+        elif type(rec.stage) is not int or rec.stage != s:
+            fault = "stage number is not its position"
+        elif rec.condition is not None and rec.condition != last:
             try:
-                sets, notes = condition_sets(rec.condition, parts), []
+                sets = condition_sets(rec.condition, parts)
                 # D2's union lies below the reservoir iff each part does
                 valid = committed_below(sets[1], sets[2])
+                last = rec.condition
             except (KeyError, TypeError):
-                report.add(REFUTED, "condition is malformed", rec.stage,
-                           rec.requirement)
-                continue
-            if prev_sets is not None:
-                extended = extends_sets(sets, prev_sets, notes)
-            prev, prev_sets = rec.condition, sets
+                fault = "condition is malformed"
+        if fault is None:
+            records.append((rec, sets, valid))
+        else:
+            report.add(REFUTED, fault, rec.stage, rec.requirement)
+    return records
+
+
+def _check_chain(t: Transcript, report: AuditReport):
+    """The record pass, then the validity of every read record's condition
+    and the extension order between each and the one before; the records
+    read.  A record without sets of its own repeats the last verdict and
+    extends trivially; with none before it, it is refuted once."""
+    records, prev = _read_records(t, report), None
+    if records and records[0][0].condition is None:
+        report.add(REFUTED, "first stage repeats no earlier condition",
+                   records[0][0].stage, records[0][0].requirement)
+    for rec, sets, valid in records:
+        extended, notes = True, []
+        if sets is not None:
+            if prev is not None:
+                extended = extends_sets(sets, prev, notes)
+            prev = sets
+        elif prev is None:
+            continue  # nothing to repeat; refuted above
         if not valid:
             report.add(REFUTED, "committed set reaches into the reservoir",
                        rec.stage, rec.requirement)
@@ -141,16 +168,17 @@ def _check_chain(t: Transcript, report: AuditReport):
                                                        else "clause check"),
                        rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
+    return records
 
 
-def _window(t: Transcript, report: AuditReport) -> int:
+def _window(t: Transcript, records, report: AuditReport) -> int:
     """The run's window, `config["window"]`.  For coh, EM and D2 it is also
-    the first stage's window bound: where the two differ, the transcript is
-    refuted and the smaller is read.  One that is not an integer admits no
-    member."""
+    the first read record's window bound: where the two differ, the
+    transcript is refuted and the smaller is read.  One that is not an
+    integer admits no member."""
     windows = [t.config.get("window")]
-    if t.stages and isinstance(t.stages[0].condition, dict):
-        windows.append(t.stages[0].condition.get("window_bound"))
+    if records and records[0][1] is not None:
+        windows.append(records[0][1][0])
         if windows[0] != windows[1]:
             report.add(REFUTED, "window differs from the first stage's "
                        "window bound")
@@ -276,49 +304,23 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     """
     report = AuditReport()
     if t.kind == "rt2":
+        records = _read_records(t, report)
         for nested in ("coh", "d2"):
-            sub = verify_transcript(
-                Transcript.from_dict(t.extraction[nested]), audit_fuel)
-            report.findings.extend(sub.findings)
-            for g, n in sub.counts.items():
-                report.counts[g] += n
-        h = t.extraction["H"]
-        color = t.extraction["color"]
-        fault = _set_fault(h, _window(t, report), "extracted set")
-        if fault is not None:
-            report.add(REFUTED, fault)
-        elif instance is not None:
-            hs = sorted(h)  # the coloring is read on pairs x < y
-            bad = [
-                (x, y) for i, x in enumerate(hs) for y in hs[i + 1:]
-                if instance.value(x, y) != color
-            ]
-            if bad:
-                report.add(REFUTED, f"extracted pairs off-color: {bad[:3]}")
-            else:
-                report.add(CERTIFIED,
-                           f"{len(h)}-element set monochromatic in color {color}")
-        return report
-
-    _check_chain(t, report)
-
-    # a record whose branch its kind never writes, or whose certificates
-    # are not a mapping, is refuted here and read by no later check
-    branches = _BRANCHES.get(t.kind, _FORCING_BRANCHES)
-    records = []
-    for s, rec in enumerate(t.stages):
-        if rec.branch not in branches:
-            report.add(REFUTED, "branch is not one its kind writes",
-                       rec.stage, rec.requirement)
-        elif not isinstance(rec.certificates, dict):
-            report.add(REFUTED, "certificates are not a mapping",
-                       rec.stage, rec.requirement)
-        else:
-            records.append((s, rec))
+            try:
+                sub = verify_transcript(
+                    Transcript.from_dict(t.extraction.get(nested)),
+                    audit_fuel)
+            except TranscriptFormatError as exc:
+                report.add(REFUTED, f"nested {nested} transcript: {exc}")
+                continue
+            for f in sub.findings:
+                report.add(**f)
+    else:
+        records = _check_chain(t, report)
 
     if t.kind == "d2":
         total = 0
-        for s, rec in records:
+        for rec, _, _ in records:
             counters = rec.certificates.get("counters")
             if counters is None:
                 continue
@@ -327,21 +329,22 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(REFUTED, "decision counters are not a list of "
                            "integers", rec.stage, rec.requirement)
                 continue
-            if sum(counters) > s + 1:
+            if sum(counters) > rec.stage + 1:
                 report.add(REFUTED, "decision counters exceed stage budget",
                            rec.stage, rec.requirement)
             total = sum(counters)
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
     # the ledger and the instance checks read the extracted set
-    window = _window(t, report)
-    b = t.extraction.get("C" if t.kind == "coh" else "B", [])
+    window = _window(t, records, report)
+    b = t.extraction.get("C" if t.kind == "coh" else
+                         "H" if t.kind == "rt2" else "B")
     fault = _set_fault(b, window, "extracted set")
     if fault is not None:
         report.add(REFUTED, fault)
 
     entries = []  # (record, parsed label, replay) of each decided R or N
-    for _, rec in records:
+    for rec, _, _ in records:
         if rec.branch not in (CASE1, CASE2):
             continue
         label = parse_label(rec.requirement)
@@ -357,9 +360,9 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                               t.config.get("subset_width"))
             entries.append((rec, label, None))
 
-    color = t.extraction.get("color") if t.kind == "d2" else None
+    color = t.extraction.get("color")
     if fault is None:
-        _jump_ledger(entries, b, report, color)
+        _jump_ledger(entries, b, report, color if t.kind == "d2" else None)
     if fault is None and instance is not None:
         if t.kind == "d2" and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
@@ -374,8 +377,19 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")
             else:
                 report.add(REFUTED, f"fallow violation {fr.violation}")
+        elif t.kind == "rt2":
+            hs = sorted(b)  # the coloring is read on pairs x < y
+            bad = [
+                (x, y) for i, x in enumerate(hs) for y in hs[i + 1:]
+                if instance.value(x, y) != color
+            ]
+            if bad:
+                report.add(REFUTED, f"extracted pairs off-color: {bad[:3]}")
+            else:
+                report.add(CERTIFIED,
+                           f"{len(b)}-element set monochromatic in color {color}")
     if t.kind == "em" and instance is not None:
-        for _, rec in records:
+        for rec, _, _ in records:
             if rec.branch == ABORT:
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),

@@ -1,8 +1,9 @@
 """Transcript serialization with a canonical byte form.
 
 The same run must hash to the same digest on every machine, so the JSON
-form is fully canonical: sorted keys, no whitespace, plain integers.  Only
-format version 2 is read (see `forcing.base.Transcript`).
+form is fully canonical: sorted keys, no whitespace, plain integers.
+`load_transcript` checks the digest and decodes the JSON, and
+`forcing.base.Transcript.from_dict`, the one structural reader, the rest.
 """
 
 from __future__ import annotations
@@ -12,12 +13,8 @@ import json
 import os
 from typing import Optional
 
-from ..forcing.base import (TRANSCRIPT_VERSION, Transcript, canonical_json,
-                            digest)
-
-
-class TranscriptFormatError(ValueError):
-    pass
+from ..forcing.base import (  # noqa: F401  (TranscriptFormatError)
+    Transcript, TranscriptFormatError, canonical_json, digest)
 
 
 def transcript_hash(t: Transcript) -> str:
@@ -34,10 +31,6 @@ def emit_transcript(t: Transcript, destination: str) -> tuple:
     return destination, hashlib.sha256(payload).hexdigest()
 
 
-_REQUIRED = ("kind", "instance_hash", "config", "stages", "extraction", "version")
-_STAGE_KEYS = ("stage", "requirement", "branch", "condition", "certificates")
-
-
 def load_transcript(path: str, expect_hash: Optional[str] = None) -> Transcript:
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -51,22 +44,4 @@ def load_transcript(path: str, expect_hash: Optional[str] = None) -> Transcript:
     except json.JSONDecodeError as exc:
         raise TranscriptFormatError(
             f"not valid JSON at offset {exc.pos}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise TranscriptFormatError("top level must be an object")
-    missing = [k for k in _REQUIRED if k not in doc]
-    if missing:
-        raise TranscriptFormatError(f"missing fields: {', '.join(missing)}")
-    if doc["version"] != TRANSCRIPT_VERSION:
-        raise TranscriptFormatError(
-            f"transcript format version {doc['version']!r} is not read here, "
-            f"only version {TRANSCRIPT_VERSION}; tools/transcript_v1_to_v2.py "
-            "converts a version 1 transcript")
-    if not isinstance(doc["stages"], list):
-        raise TranscriptFormatError("stages must be a list")
-    for i, st in enumerate(doc["stages"]):
-        if not isinstance(st, dict):
-            raise TranscriptFormatError(f"stage {i} is not an object")
-        for key in _STAGE_KEYS:
-            if key not in st:
-                raise TranscriptFormatError(f"stage {i} has no {key!r} field")
     return Transcript.from_dict(doc)
