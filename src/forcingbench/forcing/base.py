@@ -533,9 +533,6 @@ class StageRecord:
     condition: Optional[Dict]  # None: the condition of the stage before
     certificates: Dict
 
-    def to_dict(self) -> Dict:
-        return dict(vars(self))
-
 
 TRANSCRIPT_VERSION = 2
 
@@ -562,7 +559,9 @@ class Transcript:
     def to_dict(self) -> Dict:
         stages, last = [], None
         for s in self.stages:
-            d = s.to_dict()
+            d = {"stage": s.stage, "requirement": s.requirement,
+                 "branch": s.branch, "condition": s.condition,
+                 "certificates": s.certificates}
             if s.condition is not None:
                 if s.condition == last:
                     d["condition"] = None

@@ -145,8 +145,9 @@ def _read_records(t: Transcript, report: AuditReport):
 def _check_chain(t: Transcript, report: AuditReport):
     """The record pass, then the validity of every read record's condition
     and the extension order between each and the one before; the records
-    read.  A record without sets of its own repeats the last verdict and
-    extends trivially; with none before it, it is refuted once."""
+    read, without their sets.  A record without sets of its own repeats
+    the last verdict and extends trivially; with none before it, it is
+    refuted once."""
     records, prev = _read_records(t, report), None
     if records and records[0][0].condition is None:
         report.add(REFUTED, "first stage repeats no earlier condition",
@@ -168,7 +169,7 @@ def _check_chain(t: Transcript, report: AuditReport):
                                                        else "clause check"),
                        rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
-    return records
+    return [rec for rec, _, _ in records]
 
 
 def _window(t: Transcript, records, report: AuditReport) -> int:
@@ -177,8 +178,8 @@ def _window(t: Transcript, records, report: AuditReport) -> int:
     transcript is refuted and the smaller is read.  One that is not an
     integer admits no member."""
     windows = [t.config.get("window")]
-    if records and records[0][1] is not None:
-        windows.append(records[0][1][0])
+    if records and records[0].condition is not None:
+        windows.append(records[0].condition["window_bound"])
         if windows[0] != windows[1]:
             report.add(REFUTED, "window differs from the first stage's "
                        "window bound")
@@ -304,7 +305,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     """
     report = AuditReport()
     if t.kind == "rt2":
-        records = _read_records(t, report)
+        records = _read_records(t, report)  # none: RT2 writes no stage
         for nested in ("coh", "d2"):
             try:
                 sub = verify_transcript(
@@ -313,14 +314,15 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             except TranscriptFormatError as exc:
                 report.add(REFUTED, f"nested {nested} transcript: {exc}")
                 continue
-            for f in sub.findings:
-                report.add(**f)
+            report.findings.extend(sub.findings)
+            for g, n in sub.counts.items():
+                report.counts[g] += n
     else:
         records = _check_chain(t, report)
 
     if t.kind == "d2":
         total = 0
-        for rec, _, _ in records:
+        for rec in records:
             counters = rec.certificates.get("counters")
             if counters is None:
                 continue
@@ -344,7 +346,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         report.add(REFUTED, fault)
 
     entries = []  # (record, parsed label, replay) of each decided R or N
-    for rec, _, _ in records:
+    for rec in records:
         if rec.branch not in (CASE1, CASE2):
             continue
         label = parse_label(rec.requirement)
@@ -389,7 +391,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(CERTIFIED,
                            f"{len(b)}-element set monochromatic in color {color}")
     if t.kind == "em" and instance is not None:
-        for rec, _, _ in records:
+        for rec in records:
             if rec.branch == ABORT:
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),
