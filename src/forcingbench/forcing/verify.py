@@ -112,15 +112,17 @@ class AuditReport:
 
 
 def _read_records(t: Transcript, report: AuditReport):
-    """The records later passes read, as (record, its condition's sets,
-    whether the last sets read are valid); the sets are None for a
-    condition that is None or repeats the last one read.  Every other
-    record is refuted here, once (see the module docstring)."""
+    """The records later passes read, each as (record, whether its
+    condition is valid, why it does not extend the last condition read or
+    None).  A condition is read, into its sets, once: one that is None or
+    repeats the last one read keeps the last validity and extends it, and
+    one with nothing to repeat has validity None.  Every other record is
+    refuted here, once (see the module docstring)."""
     branches = _BRANCHES.get(t.kind, ()) if isinstance(t.kind, str) else ()
     parts = t.kind == "d2"
-    records, last, valid = [], None, None
+    records, last, prev, valid = [], None, None, None
     for s, rec in enumerate(t.stages):
-        sets = fault = None
+        fault = broken = None
         if rec.branch not in branches:
             fault = "branch is not one its kind writes"
         elif not isinstance(rec.certificates, dict):
@@ -132,41 +134,35 @@ def _read_records(t: Transcript, report: AuditReport):
                 sets = condition_sets(rec.condition, parts)
                 # D2's union lies below the reservoir iff each part does
                 valid = committed_below(sets[1], sets[2])
-                last = rec.condition
             except (KeyError, TypeError):
                 fault = "condition is malformed"
+            else:
+                notes = []
+                if prev is not None and not extends_sets(sets, prev, notes):
+                    broken = notes[0] if notes else "clause check"
+                last, prev = rec.condition, sets
         if fault is None:
-            records.append((rec, sets, valid))
+            records.append((rec, valid, broken))
         else:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
     return records
 
 
 def _check_chain(t: Transcript, report: AuditReport):
-    """The record pass, then the validity of every read record's condition
-    and the extension order between each and the one before; the records
-    read, without their sets.  A record without sets of its own repeats
-    the last verdict and extends trivially; with none before it, it is
-    refuted once."""
-    records, prev = _read_records(t, report), None
+    """The record pass, then its verdicts: every read record's condition
+    is valid (its committed set stays below its reservoir) and extends the
+    one before, and a None with nothing before it is refuted once.  The
+    records read."""
+    records = _read_records(t, report)
     if records and records[0][0].condition is None:
         report.add(REFUTED, "first stage repeats no earlier condition",
                    records[0][0].stage, records[0][0].requirement)
-    for rec, sets, valid in records:
-        extended, notes = True, []
-        if sets is not None:
-            if prev is not None:
-                extended = extends_sets(sets, prev, notes)
-            prev = sets
-        elif prev is None:
-            continue  # nothing to repeat; refuted above
-        if not valid:
+    for rec, valid, broken in records:
+        if valid is False:
             report.add(REFUTED, "committed set reaches into the reservoir",
                        rec.stage, rec.requirement)
-        if not extended:
-            report.add(REFUTED,
-                       "extension order violated: " + (notes[0] if notes
-                                                       else "clause check"),
+        if broken is not None:
+            report.add(REFUTED, "extension order violated: " + broken,
                        rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
     return [rec for rec, _, _ in records]

@@ -3,8 +3,8 @@ audited to a report; nothing else raises.
 
 Each case takes a seed-0 transcript (EM, D2, RT2, and the coh transcript
 nested in the RT2 one), replaces one random JSON node outside `audits`
-with one value of every JSON type, writes the file, then loads it and
-audits it with the instance.  Loading may reject the file with
+with one of ten values that cover every JSON type, writes the file, then
+loads it and audits it with the instance.  Loading may reject the file with
 `TranscriptFormatError`; anything else must come back as an audit report.
 The seed is fixed, so every run forges the same nodes.
 """
