@@ -11,8 +11,8 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   once, and read by no later pass, if its branch is not one its kind
   writes (an RT2 transcript writes no stage of its own, and a kind no run
   writes has none), its certificates are not a mapping, its `stage` is
-  not its position, or its condition is one the chain cannot read (not a
-  mapping, or without the sets its kind writes);
+  not its position, or its condition is one it cannot read into sets
+  (not a mapping, or without the sets its kind writes);
 - the extension chain, over the records read (for RT2, the audits of its
   nested coh and D2 transcripts instead, each read by
   `Transcript.from_dict`; one it cannot read is one refuted finding):
@@ -48,8 +48,9 @@ No set reaches a machine question unless it is a list of distinct
 naturals below the window, so a forged member costs no more fuel than an
 honest one.
 
-Each fact is computed once per call: a stage's condition sets once (a
-stage recording its predecessor's condition reuses its verdicts), and a
+Each fact is computed once per call: a stage's condition sets once, in
+the record pass, which keeps only the last one's (a stage recording its
+predecessor's condition reuses its verdicts), and a
 certificate's replay once, which the ledger reuses.  Facts about programs
 are kept per process (`base.bounded_halt`'s run trees); nothing about a
 transcript is.
