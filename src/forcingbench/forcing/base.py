@@ -54,6 +54,9 @@ D_RESTRICTION = "D-restriction"
 ABORT = "abort"
 SKIP = "skip"
 
+SUBSET_WIDTH = 8  # reservoir members whose subsets a witness search tries
+PARTITION_CAP = 3 ** 9  # visits of one bad-partition search
+
 
 def committed_below(committed, reservoir) -> bool:
     """The condition invariant: every committed member lies below every
@@ -345,7 +348,7 @@ class HaltWitness:
     value: int
 
 
-def find_halt_witness(e, F, reservoir, subset_width: int = 8,
+def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
                       extra_filter=None):
     """Bounded search for finite D inside the reservoir making program e
     self-halt over F ∪ D.
@@ -402,8 +405,7 @@ def halt_cert(w: HaltWitness, search: Dict, key: str = "E") -> Dict:
             "search": search}
 
 
-def halt_compat(e: int, F, window: int, subset_width: int, pools, admits,
-                extra_filter=None):
+def halt_compat(e: int, F, window: int, pools, admits, extra_filter=None):
     """EM's and D2's compat for R_e: can a piece make e self-halt over F?
     A query-free program needs only fuel, from F or from a member z of the
     piece that `admits(z)`; otherwise a bounded witness search, vetoed by
@@ -420,8 +422,7 @@ def halt_compat(e: int, F, window: int, subset_width: int, pools, admits,
                 return True  # the committed set alone is fuel enough
             return any(z >= sigma - 1 and admits(z) for z in piece)
         for pool in pools(piece):
-            w, _ = find_halt_witness(e, F, pool, subset_width=subset_width,
-                                     extra_filter=extra_filter)
+            w, _ = find_halt_witness(e, F, pool, extra_filter=extra_filter)
             if w is not None:
                 return True
         return False
@@ -525,7 +526,7 @@ def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
     return settles_at(lambda y: c.value(x, y), x + 1, window_bound - 1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StageRecord:
     stage: int
     requirement: str
@@ -626,6 +627,26 @@ def digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
 
 
+# the digest of its instance a run writes as `instance_hash`: of a
+# coloring, of a `d2.Delta2Partition`, of a family of sets at a window
+def coloring_digest(c: Coloring) -> str:
+    return digest({
+        "k": c.k, "table": [list(r) for r in c.table or ()],
+        "bound": c.bound, "declared_bound": c.declared_bound,
+    })
+
+
+def partition_digest(d) -> str:
+    return digest({
+        "k": d.k, "table": [list(r) for r in d.table], "bound": d.bound,
+        "promised_bound": d.promised_bound,
+    })
+
+
+def family_digest(family, window: int) -> str:
+    return digest([list(r.window.bits[:window]) for r in family])
+
+
 @dataclass
 class State:
     condition: "CohCondition | D2Condition"
@@ -661,13 +682,14 @@ def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
     return t
 
 
-def force_step(state: State, stage: int, label: str, k: int, cap: int,
-               compat, witness, negative: Dict, stall: str) -> StageRecord:
+def force_step(state: State, stage: int, label: str, k: int, compat,
+               witness, negative: Dict, stall: str) -> StageRecord:
     """One EM or D2 stage for `label`: `_find_bad_partition` asks the plain
-    predicate `compat` about pieces of the reservoir.  Case 1: `witness()`
-    gives the committed (condition, certificate) or None.  Case 2: the
-    kept piece is installed as the reservoir, and the certificate gets the
-    `negative` fields.  A stalled size requirement is blocked with reason
+    predicate `compat` about pieces of the reservoir, within PARTITION_CAP
+    visits.  Case 1: `witness()` gives the committed (condition,
+    certificate) or None.  Case 2: the kept piece is installed as the
+    reservoir, and the certificate gets the `negative` fields and the
+    search width.  A stalled size requirement is blocked with reason
     `stall`."""
     cond = state.condition
 
@@ -675,9 +697,10 @@ def force_step(state: State, stage: int, label: str, k: int, cap: int,
         return settle(state, stage, label, ABORT, cond, cert, block=True)
 
     try:
-        bad = _find_bad_partition(cond.reservoir, k, compat, cap)
+        bad = _find_bad_partition(cond.reservoir, k, compat, PARTITION_CAP)
     except PartitionCapExceeded:
-        return abort({"reason": "partition cap exceeded", "cap": cap})
+        return abort({"reason": "partition cap exceeded",
+                      "cap": PARTITION_CAP})
     if bad is None:
         found = witness()
         if found is None:
@@ -689,7 +712,8 @@ def force_step(state: State, stage: int, label: str, k: int, cap: int,
         # size is never forced negatively, only starved by the window
         return abort({"reason": stall, "partition": [list(p) for p in bad]})
     kept, cert = restrict_to_piece(cond.reservoir, cond.window_bound, bad)
-    cert = {**cert, "answer": "no", **negative}
+    cert = {**cert, "answer": "no", **negative,
+            "search": {"subset_width": SUBSET_WIDTH}}
     return settle(state, stage, label, CASE2,
                   cond if kept is None else narrowed(cond, kept), cert,
                   entry=cert)

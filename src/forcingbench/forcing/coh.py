@@ -23,10 +23,11 @@ from .base import (
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
+    SUBSET_WIDTH,
     StageRecord,
     State,
     committed,
-    digest,
+    family_digest,
     find_halt_witness,
     halt_cert,
     narrowed,
@@ -41,12 +42,8 @@ from .base import (
 class CohConfig:
     window: int = 512
     density_min: int = 8
-    subset_width: int = 8
+    subset_width: int = SUBSET_WIDTH
     schedule: str = "least"  # "least" | "committed-columns"
-
-
-def family_digest(family: Sequence[SetPresentation], window: int) -> str:
-    return digest([list(r.window.bits[:window]) for r in family])
 
 
 def _next_requirement(state: State, family_size: int, stage: int,

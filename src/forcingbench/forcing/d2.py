@@ -17,16 +17,18 @@ from ..approx import MalformedInstanceError
 from .base import (
     CASE1,
     CASE2,
+    PARTITION_CAP,
+    SUBSET_WIDTH,
     StageRecord,
     State,
     Transcript,
     committed,
-    digest,
     find_halt_witness,
     force_step,
     halt_cert,
     halt_compat,
     parse_label,
+    partition_digest,
     run_stages,
     start,
 )
@@ -51,26 +53,16 @@ class Delta2Partition:
 
     def limit_part(self, n: int) -> Optional[int]:
         """Exact when a stabilization bound is declared (audited at load);
-        otherwise the last value of the row, flagged by callers."""
+        otherwise the last value of the row, which a row that has not yet
+        settled may not hold."""
         if self.promised_bound is not None:
             return self.value(n, self.promised_bound)
         return self.value(n, len(self.table[n]) - 1)
 
 
-def partition_digest(d: Delta2Partition) -> str:
-    return digest({
-        "k": d.k, "table": [list(r) for r in d.table], "bound": d.bound,
-        "promised_bound": d.promised_bound,
-    })
-
-
-SUBSET_WIDTH = 8  # the width of every witness search
-
-
 @dataclass(frozen=True)
 class D2Config:
     window: int = 64
-    partition_cap: int = 3 ** 9
 
 
 def requirement_order(code: int, k: int) -> List[str]:
@@ -90,7 +82,7 @@ def _next_d2_requirement(state: State, k: int) -> Optional[str]:
     return None
 
 
-def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
+def d2_step(state: State, d: Delta2Partition, stage: int,
             part_of: Tuple[int, ...],
             counters: List[int]) -> Optional[StageRecord]:
     """One stage; `part_of[z]` is the limit part of window member z, and
@@ -118,22 +110,20 @@ def d2_step(state: State, d: Delta2Partition, config: D2Config, stage: int,
                         {"E": list(extra), "answer": "yes"})
     else:
         compat = halt_compat(
-            e, f_color, window, SUBSET_WIDTH,
+            e, f_color, window,
             lambda piece: (tuple(sorted(z for z in piece
                                         if part_of[z] == color)),),
             lambda z: part_of[z] == color)
 
         def witness():
-            w, search = find_halt_witness(e, f_color, pool,
-                                          subset_width=SUBSET_WIDTH)
+            w, search = find_halt_witness(e, f_color, pool)
             if w is not None:
                 return (committed(cond, w.added, part=color),
                         halt_cert(w, search))
 
     rec = force_step(
-        state, stage, label, d.k, config.partition_cap, compat, witness,
-        {"F_at_decision": list(f_color), "pool_at_decision": list(pool),
-         "search": {"subset_width": SUBSET_WIDTH}},
+        state, stage, label, d.k, compat, witness,
+        {"F_at_decision": list(f_color), "pool_at_decision": list(pool)},
         "no piece holds enough of the part; stalled")
     if rec.branch in (CASE1, CASE2):
         counters[color] += 1
@@ -174,19 +164,16 @@ def select_color(t: Transcript, horizon: int) -> int:
 
 def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
-    config = config or D2Config()
-    window = min(config.window, d.bound)
+    window = min((config or D2Config()).window, d.bound)
     state = State(start(window, parts=d.k))
     part_of = tuple(d.limit_part(z) for z in range(window))
     counters = [0] * d.k
     t = run_stages(
         "d2", partition_digest(d), {
             "stages": stages, "window": window,
-            "subset_width": SUBSET_WIDTH,
-            "partition_cap": config.partition_cap,
+            "subset_width": SUBSET_WIDTH, "partition_cap": PARTITION_CAP,
             "k": d.k,
-        }, state,
-        lambda st, s: d2_step(st, d, config, s, part_of, counters), stages)
+        }, state, lambda st, s: d2_step(st, d, s, part_of, counters), stages)
     color = select_color(t, stages)
     b = state.condition.F_parts[color]
     t.extraction = {

@@ -30,11 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..approx import Coloring
 from .base import (
+    PARTITION_CAP,
+    SUBSET_WIDTH,
     StageRecord,
     State,
+    coloring_digest,
     color_rows,
     committed,
-    digest,
     fallow_check,
     find_halt_witness,
     force_step,
@@ -51,20 +53,13 @@ from .base import (
 from .base import PartitionCapExceeded, _find_bad_partition  # noqa: F401
 
 
+DENSITY_MIN = 4  # reservoir members past F that clause (ii) asks for
+EXTENSION_CAP = 256  # need-subsets of one limit class an E+ search tries
+
+
 @dataclass(frozen=True)
 class EmConfig:
     window: int = 40
-    density_min: int = 4
-    subset_width: int = 8
-    partition_cap: int = 3 ** 9
-    extension_cap: int = 256
-
-
-def coloring_digest(c: Coloring) -> str:
-    return digest({
-        "k": c.k, "table": [list(r) for r in c.table or ()],
-        "bound": c.bound, "declared_bound": c.declared_bound,
-    })
 
 
 def valid_em_extension(c: Coloring, F, E, limits) -> bool:
@@ -182,8 +177,7 @@ def _next_em_requirement(state: State) -> Optional[str]:
     return None
 
 
-def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
-            ext: _Extensions,
+def em_step(state: State, c: Coloring, stage: int, ext: _Extensions,
             stab: Sequence[int]) -> Optional[StageRecord]:
     """One stage; `ext.limits` maps each column of the window that has a
     limit color to it, and `stab[x]` is column x's stabilization point."""
@@ -214,11 +208,10 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
 
         def extensions(members):
             # per limit class i, the first (i, E) that keeps F ∪ E fallow
-            # among the class's first `extension_cap` need-subsets
+            # among the class's first EXTENSION_CAP need-subsets
             for i, pool in enumerate(classes(members)):
                 for extra in itertools.islice(
-                        itertools.combinations(pool, need),
-                        config.extension_cap):
+                        itertools.combinations(pool, need), EXTENSION_CAP):
                     if ext.allows(F, extra):
                         yield i, extra
                         break
@@ -235,29 +228,24 @@ def em_step(state: State, c: Coloring, config: EmConfig, stage: int,
                 i, extra = found
                 return commit(extra, {"E": list(extra)}, i)
     else:
-        compat = halt_compat(
-            n, F, window, config.subset_width, classes,
-            lambda z: ext.allows(F, (z,)), keeps_fallow)
+        compat = halt_compat(n, F, window, classes,
+                             lambda z: ext.allows(F, (z,)), keeps_fallow)
 
         def witness():
             for i, pool in enumerate(classes(cond.reservoir)):
-                w, search = find_halt_witness(
-                    n, F, pool, subset_width=config.subset_width,
-                    extra_filter=keeps_fallow)
+                w, search = find_halt_witness(n, F, pool,
+                                              extra_filter=keeps_fallow)
                 if w is not None:
                     return commit(w.added, halt_cert(w, search), i)
 
-    return force_step(
-        state, stage, label, c.k, config.partition_cap, compat, witness,
-        {"F_at_decision": list(F),
-         "search": {"subset_width": config.subset_width}},
-        "no extendable piece; requirement stalled")
+    return force_step(state, stage, label, c.k, compat, witness,
+                      {"F_at_decision": list(F)},
+                      "no extendable piece; requirement stalled")
 
 
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
-    config = config or EmConfig()
-    window = min(config.window, c.bound)
+    window = min((config or EmConfig()).window, c.bound)
     state = State(start(window))
     limits: Dict[int, int] = {}
     for z in range(window):
@@ -269,14 +257,11 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     t = run_stages(
         "em", coloring_digest(c), {
             "stages": stages, "window": window,
-            "density_min": config.density_min,
-            "subset_width": config.subset_width,
-            "partition_cap": config.partition_cap,
-            "k": c.k,
-        }, state, lambda st, s: em_step(st, c, config, s, ext, stab),
-        stages)
+            "density_min": DENSITY_MIN, "subset_width": SUBSET_WIDTH,
+            "partition_cap": PARTITION_CAP, "k": c.k,
+        }, state, lambda st, s: em_step(st, c, s, ext, stab), stages)
     final = state.condition
-    flags = em_clause_flags(c, final.F, final.reservoir, config.density_min)
+    flags = em_clause_flags(c, final.F, final.reservoir, DENSITY_MIN)
     t.extraction = {
         "B": list(final.F),
         "fallow": "iv-fallow" in flags,

@@ -11,15 +11,13 @@ back to a monochromatic set, which is verified exhaustively before return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..approx import Coloring, MalformedInstanceError, SetPresentation
 from ..machine import OracleWindow
-from .base import Transcript
+from .base import Transcript, coloring_digest
 from .coh import CohConfig, run_coh
 from .d2 import D2Config, Delta2Partition, run_d2
-from .em import coloring_digest
 
 
 class PipelineInconclusive(RuntimeError):
@@ -28,14 +26,11 @@ class PipelineInconclusive(RuntimeError):
         self.column = column
 
 
-# the nested coh run's density count and witness-search width
+# the nested coh run's density count and witness-search width, and the
+# nested D2 run's stage count
 DENSITY_MIN = 2
 SUBSET_WIDTH = 6
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    d2_stages: int = 40
+D2_STAGES = 40
 
 
 def column_family(c: Coloring):
@@ -55,12 +50,10 @@ def column_family(c: Coloring):
     return fam
 
 
-def rt2_pipeline(c: Coloring, stages: int,
-                 config: Optional[PipelineConfig] = None):
+def rt2_pipeline(c: Coloring, stages: int):
     """Returns (H, Transcript): H monochromatic for c, checked pair by pair."""
     if c.k != 2:
         raise ValueError("the pair pipeline handles 2 colors")
-    config = config or PipelineConfig()
     coh_cfg = CohConfig(
         window=c.bound, density_min=DENSITY_MIN, subset_width=SUBSET_WIDTH,
         schedule="committed-columns",
@@ -94,8 +87,8 @@ def rt2_pipeline(c: Coloring, stages: int,
         promised_bound=0,
         declared_limits=part_of,
     )
-    d2_cfg = D2Config(window=len(stable_cols))
-    t_d2, (color, b) = run_d2(induced, config.d2_stages, d2_cfg)
+    t_d2, (color, b) = run_d2(induced, D2_STAGES,
+                              D2Config(window=len(stable_cols)))
     h = sorted(stable_cols[j] for j in b)
     # greedy closure over the window, re-checking every pair; the committed
     # prefix goes first so the construction's own elements are preferred
@@ -114,7 +107,7 @@ def rt2_pipeline(c: Coloring, stages: int,
         kind="rt2",
         instance_hash=coloring_digest(c),
         config={
-            "stages": stages, "d2_stages": config.d2_stages,
+            "stages": stages, "d2_stages": D2_STAGES,
             "window": c.bound, "density_min": DENSITY_MIN,
             "subset_width": SUBSET_WIDTH,
         },

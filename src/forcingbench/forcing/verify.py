@@ -15,7 +15,8 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   (not a mapping, or without the sets its kind writes);
 - the extension chain, over the records read (for RT2, the audits of its
   nested coh and D2 transcripts instead, each read by
-  `Transcript.from_dict`; one it cannot read is one refuted finding):
+  `Transcript.from_dict`; one it cannot read, or whose kind is not its
+  slot's name, is one refuted finding):
   every condition is valid (its committed set stays below its reservoir)
   and extends the one before.  A condition `null` (None) is the one
   before it: transcript format version 2 writes a condition out only when
@@ -26,6 +27,10 @@ far as a bounded re-check can see), refuted (contradicted by replay).
 - the run's window (`config["window"]`) is its first read record's
   window bound; if it is not, it is refuted, and the audit reads the
   smaller;
+- with the instance: `instance_hash` is the digest a run of the
+  transcript's kind writes of it (coh's family digest taken at the window
+  read above); if it is not, or the kind is one no run writes, it is
+  refuted, and no later check reads the instance;
 - the extracted set (coh's `C`, RT2's `H`, else `B`) is a list of
   distinct naturals below the window; if it is not, it is refuted here,
   and neither the ledger nor the instance checks read it;
@@ -73,12 +78,15 @@ from .base import (
     Transcript,
     TranscriptFormatError,
     bounded_halt,
+    coloring_digest,
     committed_below,
     condition_sets,
     extends_sets,
     fallow_check,
+    family_digest,
     find_halt_witness,
     parse_label,
+    partition_digest,
 )
 
 CERTIFIED = "certified"
@@ -91,6 +99,11 @@ _BRANCHES = {"coh": (CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT, SKIP),
              "em": (CASE1, CASE2, ABORT, SKIP),
              "d2": (CASE1, CASE2, ABORT, SKIP),
              "rt2": ()}
+# the `instance_hash` a run of each kind writes of its instance, at a window
+_DIGESTS = {"coh": family_digest,
+            "em": lambda c, _: coloring_digest(c),
+            "d2": lambda d, _: partition_digest(d),
+            "rt2": lambda c, _: coloring_digest(c)}
 
 
 @dataclass
@@ -296,21 +309,25 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     `audit_fuel`.  Positive certificates replay at the fuel bound they
     claim, which is part of the claim, not a budget.
 
-    `instance` (the coloring or partition the run consumed) enables the
-    semantic checks: fallowness for EM, part membership for D2,
-    monochromaticity for the pair pipeline.
+    `instance` (the family, coloring or partition the run consumed) is
+    checked against `instance_hash` and enables the semantic checks:
+    fallowness for EM, part membership for D2, monochromaticity for the
+    pair pipeline.
     """
     report = AuditReport()
     if t.kind == "rt2":
         records = _read_records(t, report)  # none: RT2 writes no stage
         for nested in ("coh", "d2"):
             try:
-                sub = verify_transcript(
-                    Transcript.from_dict(t.extraction.get(nested)),
-                    audit_fuel)
+                sub = Transcript.from_dict(t.extraction.get(nested))
             except TranscriptFormatError as exc:
                 report.add(REFUTED, f"nested {nested} transcript: {exc}")
                 continue
+            if sub.kind != nested:
+                report.add(REFUTED, f"nested {nested} transcript is of "
+                           f"kind {sub.kind!r}")
+                continue
+            sub = verify_transcript(sub, audit_fuel)
             report.findings.extend(sub.findings)
             for g, n in sub.counts.items():
                 report.counts[g] += n
@@ -334,8 +351,16 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             total = sum(counters)
         report.add(CERTIFIED, f"counter budget respected (total {total})")
 
-    # the ledger and the instance checks read the extracted set
     window = _window(t, records, report)
+    if instance is not None:
+        try:
+            expected = _DIGESTS[t.kind](instance, window)
+        except (KeyError, TypeError, AttributeError):  # kind or instance
+            expected = None
+        if expected is None or t.instance_hash != expected:
+            report.add(REFUTED, "instance_hash is not the instance's digest")
+            instance = None  # the run did not read it: nothing to check
+    # the ledger and the instance checks read the extracted set
     b = t.extraction.get("C" if t.kind == "coh" else
                          "H" if t.kind == "rt2" else "B")
     fault = _set_fault(b, window, "extracted set")

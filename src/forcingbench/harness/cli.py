@@ -12,9 +12,6 @@ import sys
 
 from ..forcing import (
     CohConfig,
-    D2Config,
-    EmConfig,
-    PipelineConfig,
     rt2_pipeline,
     run_coh,
     run_d2,
@@ -68,19 +65,17 @@ def _cmd_run_coh(args, family) -> int:
 
 
 def _cmd_run_em(args, c) -> int:
-    t, b = run_em(c, args.stages, config=EmConfig())
+    t, b = run_em(c, args.stages)
     return _finish(t, {"B": b}, c, args)
 
 
 def _cmd_run_d2(args, d) -> int:
-    cfg = D2Config(partition_cap=args.partition_cap)
-    t, (color, b) = run_d2(d, args.stages, config=cfg)
+    t, (color, b) = run_d2(d, args.stages)
     return _finish(t, {"color": color, "B": b}, d, args)
 
 
 def _cmd_run_rt2(args, c) -> int:
-    h, t = rt2_pipeline(c, args.stages,
-                        config=PipelineConfig(d2_stages=args.d2_stages))
+    h, t = rt2_pipeline(c, args.stages)
     return _finish(t, {"H": h}, c, args)
 
 
@@ -186,12 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-d2", help="infinite subset of a limit partition")
     _add_run_common(p)
-    p.add_argument("--partition-cap", type=int, default=3 ** 9)
     p.set_defaults(fn=_cmd_run_d2, needs="Delta2Partition")
 
     p = sub.add_parser("run-rt2", help="monochromatic set for a pair coloring")
     _add_run_common(p)
-    p.add_argument("--d2-stages", type=int, default=40)
     p.set_defaults(fn=_cmd_run_rt2, needs="Coloring")
 
     p = sub.add_parser("low-basis", help="divergence-forcing path through a tree")

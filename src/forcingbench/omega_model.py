@@ -37,8 +37,11 @@ from .trees import (
 )
 
 CLASS_PROBE_CAP = 12  # class-member rows are certified to this depth
+CLASS_PROBE = 8  # depth of the nonemptiness probe of an unbuilt class row
+PI1_FUEL = 512  # steps of each program run a universal-statement check makes
 
 DERIVED_BASE = 1_000_000
+DERIVED_CAPACITY = 4096  # rows the derived-index region holds
 
 IN = "in"
 OUT = "out"
@@ -115,12 +118,6 @@ class CodedModelApprox:
     class_info: Dict[int, dict] = field(default_factory=dict)
     derived: Dict[int, OracleWindow] = field(default_factory=dict)
     derived_ops: Dict[tuple, int] = field(default_factory=dict)
-    derived_capacity: int = 4096
-    pi1_fuel: int = 512
-    default_class_probe: int = 8
-
-    def node_window(self) -> OracleWindow:
-        return OracleWindow(self.node)
 
     def row_length(self, i: int) -> int:
         if i in self.derived:
@@ -193,12 +190,10 @@ def build_model(a: SetPresentation, depth: int, low: bool = False) -> CodedModel
     )
 
 
-def nested_model(outer: CodedModelApprox, depth: Optional[int] = None,
-                 low: bool = False) -> CodedModelApprox:
+def nested_model(outer: CodedModelApprox) -> CodedModelApprox:
     """Build a model from the outer model's own copy of the base (row 0);
     the inner model must pass the same audit over the same base."""
-    inner_base = SetPresentation(outer.row_window(0))
-    return build_model(inner_base, depth or outer.depth, low=low)
+    return build_model(SetPresentation(outer.row_window(0)), outer.depth)
 
 
 def model_member(m: CodedModelApprox, i: ModelIndex, n: int) -> str:
@@ -263,7 +258,7 @@ def derived_index(m: CodedModelApprox, op: tuple) -> ModelIndex:
         if all(m.node[cantor(r, x)] == target[x] for x in range(len(target))):
             m.derived_ops[key] = r
             return r
-    if len(m.derived) >= m.derived_capacity:
+    if len(m.derived) >= DERIVED_CAPACITY:
         raise UnrealizedOperatorError(f"derived region full for op {op[0]}")
     idx = DERIVED_BASE + len(m.derived)
     m.derived[idx] = OracleWindow(target)
@@ -280,10 +275,9 @@ def class_member_index(m: CodedModelApprox, e: int, i: ModelIndex) -> ModelIndex
                 f"class e={e} over row {i} empty at probe {info['probe']}"
             )
         return g
-    probe = m.default_class_probe
     tree = ClassTree(e, m.row_window(i))
-    if not tree_level(tree, probe):
-        raise PreconditionViolation(f"class e={e} over row {i} empty at probe {probe}")
+    if not tree_level(tree, CLASS_PROBE):
+        raise PreconditionViolation(f"class e={e} over row {i} empty at probe {CLASS_PROBE}")
     return g
 
 
@@ -298,9 +292,9 @@ class Pi1Verdict:
 def pi1_truth(m: CodedModelApprox, e: int, probe: int) -> Pi1Verdict:
     """Universal-statement check against the node: position n < probe is a
     counterexample when the program halts there with output 0."""
-    oracle = m.node_window()
+    oracle = OracleWindow(m.node)
     for n in range(probe):
-        out = run_program(e, n, oracle, m.pi1_fuel)
+        out = run_program(e, n, oracle, PI1_FUEL)
         if out.tag == HALTED and out.value == 0:
             return Pi1Verdict(False, n, probe, provisional=False)
     return Pi1Verdict(True, None, probe, provisional=True)

@@ -102,13 +102,12 @@ def leftmost_member(t, depth: int) -> Node:
     raise NoPathError(f"no surviving node at depth {depth}")
 
 
-def wkl_path_prefix(t, depth: int, lookahead: int = 0) -> Node:
-    """Leftmost string of the given length lying on a branch that survives
-    `lookahead` levels further."""
-    deep = tree_level(t, depth + lookahead)
-    if not deep:
-        raise NoPathError(f"no surviving node at depth {depth + lookahead}")
-    return min(node[:depth] for node in deep)
+def wkl_path_prefix(t, depth: int) -> Node:
+    """Leftmost string of the given length in the downward closure of `t`."""
+    level = tree_level(t, depth)
+    if not level:
+        raise NoPathError(f"no surviving node at depth {depth}")
+    return min(level)
 
 
 @dataclass(frozen=True)
