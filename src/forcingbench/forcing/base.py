@@ -2,7 +2,7 @@
 
 A condition is a pair (finite committed set, reservoir).  A reservoir is
 a plain sorted tuple of members of the run's window [0, window_bound); side
-selection runs on the window's bit tuple.  `I` numbers the reservoirs a run
+selection runs on int bitmasks of the window (bit x for member x).  `I` numbers the reservoirs a run
 has installed: 0 for the initial window, one more at every step that
 installs a new reservoir.  This module builds every condition a run
 holds: `start` the first, `narrowed` and `committed` each later one, and
@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
                        OracleWindow, RunOutcome, decode_program)
 from ..approx import Coloring, ColorLimit, settles_at, stable_color_limit
-from ..omega_model import select_part
+from ..omega_model import select_part_mask
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -116,8 +117,9 @@ def committed(cond, members, part: Optional[int] = None, floor: int = 0):
         parts[part] = tuple(sorted(set(parts[part]).union(members)))
         grown = tuple(parts)
     low = max(max(members, default=-1) + 1, floor)
+    reservoir = cond.reservoir
     return type(cond)(grown, cond.I + 1,
-                      tuple(z for z in cond.reservoir if z >= low),
+                      reservoir[bisect_left(reservoir, low):],
                       cond.window_bound)
 
 
@@ -185,30 +187,52 @@ class FallowReport:
 
 def color_rows(c: Coloring, elems) -> List[List[Optional[int]]]:
     """rows[a][b] = c(elems[a], elems[b]) for increasing `elems`, in both
-    orders; the diagonal is None.  Each pair is read once, straight from the
-    table when there is one."""
-    table, n = c.table, len(elems)
-    rows = [[None] * n for _ in range(n)]
-    for a, x in enumerate(elems):
-        for b in range(a + 1, n):
-            y = elems[b]
-            rows[a][b] = rows[b][a] = (c.value(x, y) if table is None
-                                       else table[x][y - x - 1])
-    return rows
+    orders; the diagonal is None.  Each pair is read once, row by row,
+    straight from the table when there is one."""
+    table = c.table
+    if table is None:
+        up = [[c.value(x, y) for y in elems[a + 1:]]
+              for a, x in enumerate(elems)]
+    else:
+        up = [[table[x][y - x - 1] for y in elems[a + 1:]]
+              for a, x in enumerate(elems)]
+    # the rows padded to full length, so the columns come out of `zip`
+    square = [[None] * (a + 1) + u for a, u in enumerate(up)]
+    return [[*col[:a], *row[a:]]
+            for a, (col, row) in enumerate(zip(zip(*square), square))]
 
 
 def fallow_check(c: Coloring, s) -> FallowReport:
     """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
-    if any, scanning every triple; each pair is read once, by `color_rows`."""
+    if any.  Each pair is read once, in `color_rows`' order, into the later
+    members' positions as one bitmask per color of the pair from x, so one
+    pair x < y checks every z above it at once."""
     elems = sorted(s)
-    rows, n = color_rows(c, elems), len(elems)
-    for a, to_x in enumerate(rows):
+    n, table = len(elems), c.table
+    colors, masks = [], []  # per x: the colors to later members, by color
+    for a, x in enumerate(elems):
+        if table is None:
+            up = [c.value(x, y) for y in elems[a + 1:]]
+        else:
+            row = table[x]
+            up = [row[y - x - 1] for y in elems[a + 1:]]
+        by_color: Dict[int, int] = {}
+        for d, col in enumerate(up, a + 1):
+            by_color[col] = by_color.get(col, 0) | 1 << d
+        colors.append(up)
+        masks.append(by_color)
+    for a in range(n):
+        up, from_x = colors[a], masks[a].items()
         for b in range(a + 1, n):
-            xy, to_y = to_x[b], rows[b]
-            for d in range(b + 1, n):
-                xz = to_x[d]
-                if xz != xy and xz != to_y[d]:
-                    return FallowReport(False, (elems[a], elems[b], elems[d]))
+            xy, from_y = up[b - a - 1], masks[b]
+            bad = 0  # each z with c(x, z) outside {c(x, y), c(y, z)}
+            for col, bits in from_x:
+                if col != xy:
+                    bad |= bits & ~from_y.get(col, 0)
+            bad &= -(2 << b)  # z above y
+            if bad:
+                d = (bad & -bad).bit_length() - 1
+                return FallowReport(False, (elems[a], elems[b], elems[d]))
     return FallowReport(True)
 
 
@@ -348,6 +372,19 @@ class HaltWitness:
     value: int
 
 
+def _subsets(head):
+    """Every subset of `head`, each a tuple in `head`'s order, in increasing
+    bitmask order (bit t for head[t]); each is one member longer than an
+    earlier one."""
+    subs = [()]
+    yield ()
+    for z in head:
+        for i in range(len(subs)):
+            sub = subs[i] + (z,)
+            subs.append(sub)
+            yield sub
+
+
 def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
                       extra_filter=None):
     """Bounded search for finite D inside the reservoir making program e
@@ -363,38 +400,38 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
     and then each singleton, the last of which is that fuel again.  Returns
     (HaltWitness | None, search record); the fuel is the oracle bound
     itself, so the record names no fuel.
+
+    F is sorted once per search.  When the reservoir increases from above
+    F's maximum, as in every run, each F ∪ D is that sorted F followed by D.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
         "singletons": len(reservoir),
     }
-    base = set(F)
+    base = tuple(sorted(set(F)))
+    seq = (*base[-1:], *reservoir)
+    above = all(a < b for a, b in zip(seq, seq[1:]))
 
-    def attempt(added):
-        s = tuple(sorted(base.union(added)))
-        if extra_filter is not None and not extra_filter(s):
-            return None
-        out = bounded_halt(e, s)
-        if out.tag == HALTED:
-            return HaltWitness(s, tuple(sorted(added)), out.steps, out.use, out.value)
-        return None
+    def oracle(added) -> Tuple[int, ...]:  # F ∪ D, sorted
+        return (base + added if above
+                else tuple(sorted(set(base).union(added))))
 
     if not queries_oracle(e):
         record["query_free"] = True
-        if bounded_halt(e, sorted(base.union(reservoir[-1:]))).tag != HALTED:
+        if bounded_halt(e, oracle(tuple(reservoir[-1:]))).tag != HALTED:
             return None, record
         candidates = chain([()], ((z,) for z in reservoir))
     else:
         width = record["subset_width"]
-        head = reservoir[:width]
-        candidates = chain(
-            (tuple(head[t] for t in range(width) if mask >> t & 1)
-             for mask in range(1 << width)),
-            ((z,) for z in reservoir[width:]))
+        candidates = chain(_subsets(reservoir[:width]),
+                           ((z,) for z in reservoir[width:]))
     for added in candidates:
-        w = attempt(added)
-        if w is not None:
-            return w, record
+        s = oracle(added)
+        if extra_filter is None or extra_filter(s):
+            out = bounded_halt(e, s)
+            if out.tag == HALTED:
+                return HaltWitness(s, tuple(sorted(added)), out.steps,
+                                   out.use, out.value), record
     return None, record
 
 
@@ -405,29 +442,39 @@ def halt_cert(w: HaltWitness, search: Dict, key: str = "E") -> Dict:
             "search": search}
 
 
-def halt_compat(e: int, F, window: int, pools, admits, extra_filter=None):
+def halt_search(e: int, F, extra_filter=None):
+    """`find_halt_witness(e, F, pool, extra_filter=extra_filter)` as a
+    function of the pool (a tuple), searched once per distinct pool: within
+    one stage the predicate meets the empty pool in every piece that misses
+    a class, and the witness step asks again about pools it asked."""
+    memo: Dict[tuple, tuple] = {}
+
+    def search(pool):
+        found = memo.get(pool)
+        if found is None:
+            found = memo[pool] = find_halt_witness(e, F, pool,
+                                                   extra_filter=extra_filter)
+        return found
+
+    return search
+
+
+def halt_compat(e: int, F, window: int, pools, admits, search):
     """EM's and D2's compat for R_e: can a piece make e self-halt over F?
     A query-free program needs only fuel, from F or from a member z of the
-    piece that `admits(z)`; otherwise a bounded witness search, vetoed by
-    `extra_filter`, runs in each of `pools(piece)` in turn.  The predicate
-    is plain: `_find_bad_partition` asks it once per distinct piece."""
+    piece that `admits(z)`; otherwise `search` (a `halt_search` of e over F)
+    runs in each of `pools(piece)` in turn.  The predicate is plain:
+    `_find_bad_partition` asks it once per distinct piece."""
     status = query_free_status(e, window + 1)
-
-    def compat(piece: frozenset) -> bool:
-        if status[0] == "diverges":
-            return False
-        if status[0] == "halts":
-            sigma = status[1]
-            if sigma <= (max(F) + 1 if F else 1):
-                return True  # the committed set alone is fuel enough
-            return any(z >= sigma - 1 and admits(z) for z in piece)
-        for pool in pools(piece):
-            w, _ = find_halt_witness(e, F, pool, extra_filter=extra_filter)
-            if w is not None:
-                return True
-        return False
-
-    return compat
+    if status[0] == "queries":
+        return lambda piece: any(search(pool)[0] is not None
+                                 for pool in pools(piece))
+    if status[0] == "diverges":
+        return lambda piece: False
+    sigma = status[1]
+    if sigma <= (max(F) + 1 if F else 1):
+        return lambda piece: True  # the committed set alone is fuel enough
+    return lambda piece: any(z >= sigma - 1 and admits(z) for z in piece)
 
 
 class PartitionCapExceeded(RuntimeError):
@@ -440,56 +487,64 @@ def _find_bad_partition(members, k, compatible, cap):
     becomes extendable.  A singleton-extendable member answers Yes before
     the search: placed first, it would end the search at its first visit.
     This is the one memo of `compatible`: it is asked once per distinct
-    piece (a frozenset) during the search, which is one stage."""
-    memo: Dict[frozenset, bool] = {}
-
-    def compat(piece) -> bool:
-        piece = frozenset(piece)
-        ok = memo.get(piece)
-        if ok is None:
-            ok = memo[piece] = compatible(piece)
-        return ok
-
-    if compat(()):
+    piece, a tuple of members in the order of `members`, during the
+    search, which is one stage.  The memo knows a piece by its bitmask
+    over positions in `members`."""
+    memo: Dict[int, bool] = {0: compatible(())}
+    if memo[0]:
         # extendability is monotone and the empty piece sits inside every
         # piece, so no partition can be bad
         return None
-    if any(compat((z,)) for z in members):
-        if cap < 1:  # the one visit that would have found it
-            raise PartitionCapExceeded(str(cap))
-        return None
-    order = members
+    for t, z in enumerate(members):
+        if compatible((z,)):
+            if cap < 1:  # the one visit that would have found it
+                raise PartitionCapExceeded(str(cap))
+            return None
+        memo[1 << t] = False
     visits = 0
-    parts: List[set] = [set() for _ in range(k)]
+    masks, pieces = [0] * k, [()] * k
 
     def rec(pos):
         nonlocal visits
         visits += 1
         if visits > cap:
             raise PartitionCapExceeded(str(cap))
-        if pos == len(order):
-            return [sorted(p) for p in parts]
-        z = order[pos]
+        if pos == len(members):
+            return [sorted(p) for p in pieces]
+        z, bit = members[pos], 1 << pos
         seen_empty = False
         for j in range(k):
-            if not parts[j]:
+            mask, piece = masks[j], pieces[j]
+            if not mask:
                 if seen_empty:
                     continue  # symmetric to the previous empty piece
                 seen_empty = True
-            parts[j].add(z)
-            if not compat(parts[j]):
+            grown, more = mask | bit, piece + (z,)
+            ok = memo.get(grown)
+            if ok is None:
+                ok = memo[grown] = compatible(more)
+            if not ok:
+                masks[j], pieces[j] = grown, more
                 found = rec(pos + 1)
                 if found is not None:
                     return found
-            parts[j].discard(z)
+                masks[j], pieces[j] = mask, piece
         return None
 
     return rec(0)
 
 
+def _mask(members) -> int:
+    mask = 0
+    for z in members:
+        mask |= 1 << z
+    return mask
+
+
 def restrict_to_piece(reservoir, window: int, partition):
     """Case 2 of EM and D2: no piece of `partition` is extendable, so keep
     the piece that side selection finds infinite inside the reservoir.
+    Selection reads the reservoir and the pieces as bitmasks of the window.
 
     Returns (the piece ∩ reservoir, or None when the reservoir is empty and
     there is nothing to select from; the certificate).
@@ -498,14 +553,13 @@ def restrict_to_piece(reservoir, window: int, partition):
             "reservoir_at_decision": list(reservoir)}
     if not reservoir:
         return None, cert
-    pos, kept, outcomes = select_part(
-        OracleWindow.from_set(reservoir, window).bits,
-        [OracleWindow.from_set(p, window).bits for p in partition])
+    pos, kept, _, outcomes = select_part_mask(
+        _mask(reservoir), window, [(_mask(p), window) for p in partition])
     cert["selected_part"] = pos
     cert["selection"] = [
         {"side": o.side, "by": o.by, "count_intersect": o.count_intersect,
          "count_complement": o.count_complement} for o in outcomes]
-    return OracleWindow(kept).members(), cert
+    return tuple(z for z in reservoir if kept >> z & 1), cert
 
 
 def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
@@ -651,7 +705,7 @@ def family_digest(family, window: int) -> str:
 class State:
     condition: "CohCondition | D2Condition"
     decided: Dict[str, Dict] = field(default_factory=dict)
-    blocked: Tuple[str, ...] = ()
+    blocked: Dict[str, None] = field(default_factory=dict)  # in order
     cursor: int = 0  # where the engine's schedule resumes its scan
 
 
@@ -665,7 +719,7 @@ def settle(state: State, stage: int, label: str, branch: str, cond,
     if entry is not None:
         state.decided[label] = {"stage": stage, **entry}
     if block:
-        state.blocked += (label,)
+        state.blocked[label] = None
     return StageRecord(stage, "N" + label[1:] if branch == CASE2 else label,
                        branch, condition_dict(cond), cert)
 

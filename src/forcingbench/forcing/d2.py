@@ -23,10 +23,10 @@ from .base import (
     State,
     Transcript,
     committed,
-    find_halt_witness,
     force_step,
     halt_cert,
     halt_compat,
+    halt_search,
     parse_label,
     partition_digest,
     run_stages,
@@ -99,7 +99,7 @@ def d2_step(state: State, d: Delta2Partition, stage: int,
     if kind == "E":
         need = max(e - len(f_color), 0)
 
-        def compat(piece: frozenset) -> bool:
+        def compat(piece) -> bool:
             # a met size (need 0) holds on the empty piece: no search
             return sum(1 for z in piece if part_of[z] == color) >= need
 
@@ -109,17 +109,17 @@ def d2_step(state: State, d: Delta2Partition, stage: int,
                 return (committed(cond, extra, part=color),
                         {"E": list(extra), "answer": "yes"})
     else:
+        search = halt_search(e, f_color)
         compat = halt_compat(
             e, f_color, window,
-            lambda piece: (tuple(sorted(z for z in piece
-                                        if part_of[z] == color)),),
-            lambda z: part_of[z] == color)
+            lambda piece: (tuple(z for z in piece if part_of[z] == color),),
+            lambda z: part_of[z] == color, search)
 
         def witness():
-            w, search = find_halt_witness(e, f_color, pool)
+            w, record = search(pool)
             if w is not None:
                 return (committed(cond, w.added, part=color),
-                        halt_cert(w, search))
+                        halt_cert(w, record))
 
     rec = force_step(
         state, stage, label, d.k, compat, witness,

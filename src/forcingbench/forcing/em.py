@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..approx import Coloring
 from .base import (
@@ -38,12 +38,11 @@ from .base import (
     color_rows,
     committed,
     fallow_check,
-    find_halt_witness,
     force_step,
     halt_cert,
     halt_compat,
+    halt_search,
     limit_color,
-    parse_label,
     run_stages,
     stabilization_point,
     start,
@@ -110,20 +109,36 @@ def _fallow_through(rows, elems, z, start=0, limits=None) -> bool:
 
 class _Extensions:
     """One run's memo of extension verdicts (see the module docstring):
-    `verdict[z]` is (ok, how many members of `order` it has seen)."""
+    `verdict[z]` is (ok, how many members of `order` it has seen).  It
+    keeps F's members as a set and, given the window's stabilization
+    points `stab`, their maximum `top`; both grow with F."""
 
-    def __init__(self, rows, limits: Dict[int, int]):
-        self.rows, self.limits = rows, limits
+    def __init__(self, rows, limits: Dict[int, int], stab=()):
+        self.rows, self.limits, self.stab = rows, limits, stab
         self.order: List[int] = []  # F in commit order
+        self.members: Set[int] = set()
+        self.top = 0
         self.verdict: Dict[int, Tuple[bool, int]] = {}
+
+    def _grow(self, F):
+        if len(F) != len(self.order):
+            new = sorted(set(F) - self.members)
+            self.order += new
+            self.members.update(new)
+            if self.stab:
+                self.top = max((self.top, *(self.stab[x] for x in new)))
 
     def allows(self, F, E) -> bool:
         """valid_em_extension(c, F, E, limits); a larger E needs every new
         member's verdict, then the triples and pairs with two of them."""
-        order, members = self.order, set(F)
-        if len(F) != len(order):
-            order += sorted(members - set(order))
-        new = sorted(set(E) - members)
+        self._grow(F)
+        order, members = self.order, self.members
+        # a witness search asks about F ∪ D as F followed by D
+        rest = (E[len(F):] if isinstance(E, tuple) and E[:len(F)] == F
+                else E)
+        new = [z for z in rest if z not in members]
+        if len(new) > 1:
+            new = sorted(set(new))
         for z in new:
             ok, n = self.verdict.get(z, (True, 0))
             if ok and n < len(order):
@@ -135,10 +150,17 @@ class _Extensions:
                                    len(order), self.limits)
                    for j in range(1, len(new)))
 
+    def floor(self, F, added) -> int:
+        """The largest stabilization point of a column of F ∪ `added`, or
+        0 for none."""
+        self._grow(F)
+        return max((self.top, *(self.stab[x] for x in added)))
 
-def em_clause_flags(c: Coloring, F, reservoir,
-                    density_min) -> Tuple[str, ...]:
-    """The clause tags (F, reservoir) meets."""
+
+def em_clause_flags(c: Coloring, F, reservoir, density_min,
+                    rows=None) -> Tuple[str, ...]:
+    """The clause tags (F, reservoir) meets; `rows`, when given, are
+    `color_rows` over a range that holds both, as a run keeps them."""
     F = tuple(F)
     flags = []
     max_f = max(F) if F else -1
@@ -149,7 +171,8 @@ def em_clause_flags(c: Coloring, F, reservoir,
     base_fallow = fallow_check(c, F).ok
     if base_fallow:
         flags.append("iv-fallow")
-    rows = color_rows(c, range(max((*F, *reservoir), default=-1) + 1))
+    if rows is None:
+        rows = color_rows(c, range(max((*F, *reservoir), default=-1) + 1))
     if base_fallow and all(_fallow_through(rows, F, z) for z in reservoir):
         flags.append("v-one-step-fallow")
     if all(
@@ -161,107 +184,133 @@ def em_clause_flags(c: Coloring, F, reservoir,
 
 def _next_em_requirement(state: State) -> Optional[str]:
     """The least free code from the cursor on: 2n-2 is E+_n, 2e+1 R_e."""
-    horizon = len(state.decided) + len(state.blocked) + len(state.condition.F)
-    for code in range(state.cursor, 2 * horizon + 4):
+    decided, blocked, size = (state.decided, state.blocked,
+                              len(state.condition.F))
+    for code in range(state.cursor, 2 * (len(decided) + len(blocked) + size)
+                      + 4):
         if code % 2 == 0:
-            label = f"E+_{code // 2 + 1}"
-            if len(state.condition.F) >= code // 2 + 1:
+            if size > code // 2:
                 continue
+            label = f"E+_{code // 2 + 1}"
         else:
             label = f"R_{code // 2}"
-            if label in state.decided:
+            if label in decided:
                 continue
-        if label not in state.blocked:
+        if label not in blocked:
             state.cursor = code
             return label
     return None
 
 
-def em_step(state: State, c: Coloring, stage: int, ext: _Extensions,
-            stab: Sequence[int]) -> Optional[StageRecord]:
-    """One stage; `ext.limits` maps each column of the window that has a
-    limit color to it, and `stab[x]` is column x's stabilization point."""
-    cond = state.condition
-    label = _next_em_requirement(state)
-    if label is None:
-        return None
-    kind, n, _ = parse_label(label)
-    F, window, limits = cond.F, cond.window_bound, ext.limits
+class _EmRun:
+    """One run's stage step and the facts it reads that no stage changes:
+    each window member's limit class, and the `_Extensions` memo."""
 
-    def classes(members):
-        # the limit classes, where Case 1 pulls its witnesses from
-        return (tuple(sorted(z for z in members if limits.get(z) == i))
-                for i in range(c.k))
+    def __init__(self, c: Coloring, window: int):
+        self.k = c.k
+        limits: Dict[int, int] = {}
+        for z in range(window):
+            cl = limit_color(c, z, window - 1)
+            if cl is not None:
+                limits[z] = cl.color
+        self.cls = tuple(limits[z] if limits.get(z) in range(c.k) else None
+                         for z in range(window))
+        stab = [stabilization_point(c, z, window) for z in range(window)]
+        self.ext = _Extensions(color_rows(c, range(window)), limits, stab)
 
-    def keeps_fallow(s) -> bool:
-        return ext.allows(F, s)
+    def step(self, state: State, stage: int) -> Optional[StageRecord]:
+        """One stage.  The schedule leaves the code it gave out in the
+        cursor, so the label is not read back."""
+        label = _next_em_requirement(state)
+        if label is None:
+            return None
+        code, cond = state.cursor, state.condition
+        self.cond, self.F = cond, cond.F
+        if code % 2 == 0:
+            # E+_n for n = code // 2 + 1 is due only while |F| < n
+            self.need = code // 2 + 1 - len(cond.F)
+            compat, witness = self.extendable, self.least_extension
+        else:
+            e = code // 2
+            self.search = halt_search(e, cond.F, self.keeps_fallow)
+            compat = halt_compat(e, cond.F, cond.window_bound, self.classes,
+                                 self.admits, self.search)
+            witness = self.halt_witness
+        return force_step(state, stage, label, self.k, compat, witness,
+                          {"F_at_decision": list(cond.F)},
+                          "no extendable piece; requirement stalled")
 
-    def commit(added, cert, part_class):
+    def classes(self, members):
+        """The limit classes of increasing `members`, where Case 1 pulls
+        its witnesses from."""
+        pools = [[] for _ in range(self.k)]
+        cls = self.cls
+        for z in members:
+            if cls[z] is not None:
+                pools[cls[z]].append(z)
+        return [tuple(p) for p in pools]
+
+    def commit(self, added, cert, part_class):
         # the reservoir keeps only what lies past every committed column's
         # stabilization point
-        m = max((stab[x] for x in (*F, *added)), default=0)
-        return (committed(cond, added, floor=m),
+        m = self.ext.floor(self.F, added)
+        return (committed(self.cond, added, floor=m),
                 {**cert, "m": m, "class": part_class})
 
-    if kind == "E+":
-        need = n - len(F)  # positive: E+_n is due only while |F| < n
-
-        def extensions(members):
-            # per limit class i, the first (i, E) that keeps F ∪ E fallow
-            # among the class's first EXTENSION_CAP need-subsets
-            for i, pool in enumerate(classes(members)):
+    # E+_n: grow F by `need` members of one limit class
+    def extensions(self, members):
+        """Per limit class i, the first (i, E) that keeps F ∪ E fallow
+        among the class's first EXTENSION_CAP need-subsets."""
+        F, need, allows = self.F, self.need, self.ext.allows
+        for i, pool in enumerate(self.classes(members)):
+            if len(pool) >= need:
                 for extra in itertools.islice(
                         itertools.combinations(pool, need), EXTENSION_CAP):
-                    if ext.allows(F, extra):
+                    if allows(F, extra):
                         yield i, extra
                         break
 
-        def compat(piece: frozenset) -> bool:
-            return any(extensions(piece))
+    def extendable(self, piece) -> bool:
+        # a piece of fewer than `need` members holds no need-subset
+        return len(piece) >= self.need and any(self.extensions(piece))
 
-        def witness():
-            # among all classes, keep the extension whose top element is
-            # least: committing high elements starves the reservoir on trim
-            found = min(extensions(cond.reservoir),
-                        key=lambda f: (max(f[1]), f[1]), default=None)
-            if found is not None:
-                i, extra = found
-                return commit(extra, {"E": list(extra)}, i)
-    else:
-        compat = halt_compat(n, F, window, classes,
-                             lambda z: ext.allows(F, (z,)), keeps_fallow)
+    def least_extension(self):
+        # among all classes, keep the extension whose top element is least:
+        # committing high elements starves the reservoir on trim
+        found = min(self.extensions(self.cond.reservoir),
+                    key=lambda f: (max(f[1]), f[1]), default=None)
+        if found is not None:
+            i, extra = found
+            return self.commit(extra, {"E": list(extra)}, i)
 
-        def witness():
-            for i, pool in enumerate(classes(cond.reservoir)):
-                w, search = find_halt_witness(n, F, pool,
-                                              extra_filter=keeps_fallow)
-                if w is not None:
-                    return commit(w.added, halt_cert(w, search), i)
+    # R_e: make program e self-halt over F ∪ D, D inside one limit class
+    def admits(self, z) -> bool:
+        return self.ext.allows(self.F, (z,))
 
-    return force_step(state, stage, label, c.k, compat, witness,
-                      {"F_at_decision": list(F)},
-                      "no extendable piece; requirement stalled")
+    def keeps_fallow(self, s) -> bool:
+        return self.ext.allows(self.F, s)
+
+    def halt_witness(self):
+        for i, pool in enumerate(self.classes(self.cond.reservoir)):
+            w, record = self.search(pool)
+            if w is not None:
+                return self.commit(w.added, halt_cert(w, record), i)
 
 
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
     window = min((config or EmConfig()).window, c.bound)
     state = State(start(window))
-    limits: Dict[int, int] = {}
-    for z in range(window):
-        cl = limit_color(c, z, window - 1)
-        if cl is not None:
-            limits[z] = cl.color
-    stab = [stabilization_point(c, z, window) for z in range(window)]
-    ext = _Extensions(color_rows(c, range(window)), limits)
+    run = _EmRun(c, window)
     t = run_stages(
         "em", coloring_digest(c), {
             "stages": stages, "window": window,
             "density_min": DENSITY_MIN, "subset_width": SUBSET_WIDTH,
             "partition_cap": PARTITION_CAP, "k": c.k,
-        }, state, lambda st, s: em_step(st, c, s, ext, stab), stages)
+        }, state, run.step, stages)
     final = state.condition
-    flags = em_clause_flags(c, final.F, final.reservoir, DENSITY_MIN)
+    flags = em_clause_flags(c, final.F, final.reservoir, DENSITY_MIN,
+                            run.ext.rows)
     t.extraction = {
         "B": list(final.F),
         "fallow": "iv-fallow" in flags,

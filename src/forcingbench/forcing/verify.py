@@ -128,10 +128,11 @@ class AuditReport:
 def _read_records(t: Transcript, report: AuditReport):
     """The records later passes read, each as (record, whether its
     condition is valid, why it does not extend the last condition read or
-    None).  A condition is read, into its sets, once: one that is None or
-    repeats the last one read keeps the last validity and extends it, and
-    one with nothing to repeat has validity None.  Every other record is
-    refuted here, once (see the module docstring)."""
+    None), and the last condition read (None for none).  A condition is
+    read, into its sets, once: one that is None or repeats the last one
+    read keeps the last validity and extends it, and one with nothing to
+    repeat has validity None.  Every other record is refuted here, once
+    (see the module docstring)."""
     branches = _BRANCHES.get(t.kind, ()) if isinstance(t.kind, str) else ()
     parts = t.kind == "d2"
     records, last, prev, valid = [], None, None, None
@@ -159,15 +160,15 @@ def _read_records(t: Transcript, report: AuditReport):
             records.append((rec, valid, broken))
         else:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
-    return records
+    return records, last
 
 
 def _check_chain(t: Transcript, report: AuditReport):
     """The record pass, then its verdicts: every read record's condition
     is valid (its committed set stays below its reservoir) and extends the
     one before, and a None with nothing before it is refuted once.  The
-    records read."""
-    records = _read_records(t, report)
+    records read, and the last condition read."""
+    records, last = _read_records(t, report)
     if records and records[0][0].condition is None:
         report.add(REFUTED, "first stage repeats no earlier condition",
                    records[0][0].stage, records[0][0].requirement)
@@ -179,7 +180,30 @@ def _check_chain(t: Transcript, report: AuditReport):
             report.add(REFUTED, "extension order violated: " + broken,
                        rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
-    return [rec for rec, _, _ in records]
+    return [rec for rec, _, _ in records], last
+
+
+def _tie_extraction(t: Transcript, last, b, report: AuditReport):
+    """The run's records are `config["stages"]` many, and what it extracted
+    is what the last condition read commits: coh's `C` and EM's `B` its
+    committed set (none when no condition was read), D2's `F_parts` its
+    parts and `B` the selected part.  `b` is the extracted set, or None
+    when an earlier check refuted it, which then goes unchecked here.  Each
+    check adds a finding only when it refutes."""
+    if len(t.stages) != t.config.get("stages"):
+        report.add(REFUTED, "record count differs from the run's stages")
+    if b is None:
+        return
+    if t.kind == "d2":
+        parts, color = t.extraction.get("F_parts"), t.extraction.get("color")
+        if (last is None or not isinstance(parts, list)
+                or parts != last["F_parts"] or type(color) is not int
+                or not 0 <= color < len(parts) or b != parts[color]):
+            report.add(REFUTED, "extracted parts are not the last "
+                       "condition's committed parts")
+    elif b != (last["F"] if last is not None else []):
+        report.add(REFUTED,
+                   "extracted set is not the last condition's committed set")
 
 
 def _window(t: Transcript, records, report: AuditReport) -> int:
@@ -274,8 +298,9 @@ def _jump_ledger(entries, extracted, report: AuditReport,
     record's replay for a positive or None for a negative), against the
     extracted set: positives must replay on the extracted prefix verbatim,
     negatives must stay divergent on it.  For part-wise runs only the
-    selected color's entries concern the extracted set."""
-    ext = sorted(extracted)
+    selected color's entries concern the extracted set.  Whether it
+    refuted the extracted set."""
+    ext, refuted = sorted(extracted), False
     for rec, (_, e, c), replay in entries:
         if color is not None and c != color:
             continue
@@ -284,6 +309,7 @@ def _jump_ledger(entries, extracted, report: AuditReport,
                 report.add(REFUTED,
                            "negative decision halts on the extracted prefix",
                            rec.stage, rec.requirement)
+                refuted = True
             else:
                 report.add(PROVISIONAL, "extracted prefix stays divergent",
                            rec.stage, rec.requirement)
@@ -298,8 +324,10 @@ def _jump_ledger(entries, extracted, report: AuditReport,
             report.add(REFUTED,
                        "extracted set disagrees with certificate oracle",
                        rec.stage, rec.requirement)
+            refuted = True
             continue
         report.add(*verdict, rec.stage, rec.requirement)
+    return refuted
 
 
 def verify_transcript(t: Transcript, audit_fuel: int = 2,
@@ -315,8 +343,10 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     pair pipeline.
     """
     report = AuditReport()
+    if not (isinstance(t.kind, str) and t.kind in _BRANCHES):
+        report.add(REFUTED, "kind is not one a run writes")
     if t.kind == "rt2":
-        records = _read_records(t, report)  # none: RT2 writes no stage
+        records, last = _read_records(t, report)  # none: RT2 writes no stage
         for nested in ("coh", "d2"):
             try:
                 sub = Transcript.from_dict(t.extraction.get(nested))
@@ -332,7 +362,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             for g, n in sub.counts.items():
                 report.counts[g] += n
     else:
-        records = _check_chain(t, report)
+        records, last = _check_chain(t, report)
 
     if t.kind == "d2":
         total = 0
@@ -385,13 +415,16 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             entries.append((rec, label, None))
 
     color = t.extraction.get("color")
-    if fault is None:
-        _jump_ledger(entries, b, report, color if t.kind == "d2" else None)
+    refuted = fault is not None  # whether a check refuted the extracted set
+    if not refuted:
+        refuted = _jump_ledger(entries, b, report,
+                               color if t.kind == "d2" else None)
     if fault is None and instance is not None:
         if t.kind == "d2" and color is not None:
             off = [x for x in b if instance.limit_part(x) != color]
             if off:
                 report.add(REFUTED, f"elements outside the selected part: {off}")
+                refuted = True
             else:
                 report.add(CERTIFIED,
                            f"extracted set inside part {color}")
@@ -401,6 +434,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")
             else:
                 report.add(REFUTED, f"fallow violation {fr.violation}")
+                refuted = True
         elif t.kind == "rt2":
             hs = sorted(b)  # the coloring is read on pairs x < y
             bad = [
@@ -418,4 +452,6 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),
                            rec.stage, rec.requirement)
+    if t.kind in ("coh", "em", "d2"):
+        _tie_extraction(t, last, None if refuted else b, report)
     return report

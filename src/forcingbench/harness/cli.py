@@ -169,10 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-coh", help="cohesive set construction")
     _add_run_common(p)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--density-min", type=int, default=8)
+    coh = CohConfig()
+    p.add_argument("--window", type=int, default=coh.window)
+    p.add_argument("--density-min", type=int, default=coh.density_min)
     p.add_argument("--schedule", choices=("least", "committed-columns"),
-                   default="least")
+                   default=coh.schedule)
     p.set_defaults(fn=_cmd_run_coh, needs="RFamily")
 
     p = sub.add_parser("run-em", help="free set construction for a stable coloring")

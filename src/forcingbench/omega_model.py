@@ -308,35 +308,37 @@ class SelectOutcome:
     count_complement: int
 
 
-def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
-                fuel: Optional[int] = None) -> SelectOutcome:
-    """Pick the side of window j on which window i stays infinite
-    (window-scale); windows are bit tuples compared on their common prefix.
+def window_mask(bits) -> int:
+    """The int bitmask of a bit window: bit x set when `bits[x]` is."""
+    return int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2)
+
+
+def select_side_mask(wi: int, wj: int, bound: int,
+                     fuel: Optional[int] = None) -> SelectOutcome:
+    """The selection rule, on windows i and j given as int bitmasks (bit x
+    is member x) and compared below `bound`: pick the side of window j on
+    which window i stays infinite (window-scale).
 
     Realizes the partial tail search: find the least n below half the
     window (and below `fuel`, when given) past which window i avoids one
     side of window j; default to the complement side on exhaustion, then
     audit window densities and flip if the chosen side is empty while the
-    other is not.
+    other is not.  Only the last member of window i on each side of window
+    j decides where it stops, so counts and search are read off the two
+    sides' masks with `int.bit_count` and `int.bit_length`.
     """
-    bound = min(len(wi), len(wj))
-    members = [x for x in range(bound) if wi[x]]
-    if not members:
+    wi &= (1 << bound) - 1
+    if not wi:
         raise PreconditionViolation("window i empty")
-    count_int = sum(1 for x in members if wj[x])
-    count_comp = len(members) - count_int
+    inter, comp = wi & wj, wi & ~wj
+    count_int, count_comp = inter.bit_count(), comp.bit_count()
     side, by = COMPLEMENT_SIDE, "default"
-    # least n past which window i avoids one side of window j; k = 0 clears
-    # once the last intersection point is behind, k = 1 once the last
-    # complement point is, so only the two last offenders matter
-    last = {0: -1, 1: -1}
-    for x in members:
-        last[1 if wj[x] else 0] = x
-    n0, n1 = last[1] + 1, last[0] + 1  # k = 0 clears at n0, k = 1 at n1
+    # the complement side clears at n0, once the last intersection point is
+    # behind, and the intersect side at n1, once the last complement point is
+    n0, n1 = inter.bit_length(), comp.bit_length()
     cap = bound // 2 if fuel is None else min(fuel, bound // 2)
     if min(n0, n1) <= cap:
-        hit = 0 if n0 <= n1 else 1
-        side = COMPLEMENT_SIDE if hit == 0 else INTERSECT_SIDE
+        side = COMPLEMENT_SIDE if n0 <= n1 else INTERSECT_SIDE
         by = "search"
     counts = {INTERSECT_SIDE: count_int, COMPLEMENT_SIDE: count_comp}
     other = INTERSECT_SIDE if side == COMPLEMENT_SIDE else COMPLEMENT_SIDE
@@ -345,27 +347,53 @@ def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
     return SelectOutcome(side, by, count_int, count_comp)
 
 
-def select_part(wi: Tuple[int, ...], parts: Sequence[Tuple[int, ...]],
-                fuel: Optional[int] = None):
-    """Walk a partition of window i with repeated side selection.
+def select_part_mask(wi: int, bound: int, parts: Sequence[Tuple[int, int]],
+                     fuel: Optional[int] = None):
+    """Walk a partition of window i (a bitmask of length `bound`) with
+    repeated side selection; each part is a (bitmask, length) pair, and
+    each step compares below the least length met so far.
 
-    `parts` are bit windows covering window i.  Asks select_side against
-    each part in turn, descending into the complement remainder on a
-    complement answer; the final part absorbs whatever remains.  Returns
-    (part position, bits of the selected remainder, select outcomes).
+    Asks `select_side_mask` against each part in turn, descending into the
+    complement remainder on a complement answer; the final part absorbs
+    whatever remains.  Returns (part position, bitmask of the selected
+    remainder, its length, select outcomes).
     """
     if not parts:
         raise PreconditionViolation("empty partition")
-    cur = wi
+    cur = wi & ((1 << bound) - 1)
     outcomes: List[SelectOutcome] = []
-    for t, p in enumerate(parts[:-1]):
-        out = select_side(cur, p, fuel)
+    for t, (p, length) in enumerate(parts):
+        bound = min(bound, length)
+        if t == len(parts) - 1:
+            break
+        out = select_side_mask(cur, p, bound, fuel)
         outcomes.append(out)
         if out.side == INTERSECT_SIDE:
-            return t, tuple(a & b for a, b in zip(cur, p)), outcomes
-        cur = tuple(a & (1 - b) for a, b in zip(cur, p))
-    last = parts[-1]
-    return len(parts) - 1, tuple(a & b for a, b in zip(cur, last)), outcomes
+            break
+        cur &= ~p
+    return t, cur & p & ((1 << bound) - 1), bound, outcomes
+
+
+def _mask_bits(mask: int, bound: int) -> Tuple[int, ...]:
+    return tuple(mask >> x & 1 for x in range(bound))
+
+
+def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
+                fuel: Optional[int] = None) -> SelectOutcome:
+    """`select_side_mask` on bit tuples, compared on their common prefix."""
+    return select_side_mask(window_mask(wi), window_mask(wj),
+                            min(len(wi), len(wj)), fuel)
+
+
+def select_part(wi: Tuple[int, ...], parts: Sequence[Tuple[int, ...]],
+                fuel: Optional[int] = None):
+    """`select_part_mask` on bit tuples: `parts` are bit windows covering
+    window i.  Returns (part position, bits of the selected remainder,
+    select outcomes)."""
+    pos, kept, bound, outcomes = select_part_mask(
+        window_mask(wi), len(wi),
+        [(window_mask(p), len(p)) for p in parts], fuel)
+    return pos, _mask_bits(kept, bound), outcomes
 
 
 def pi2_select(m: CodedModelApprox, i: ModelIndex, j: ModelIndex,
