@@ -556,9 +556,7 @@ def restrict_to_piece(reservoir, window: int, partition):
     pos, kept, _, outcomes = select_part_mask(
         _mask(reservoir), window, [(_mask(p), window) for p in partition])
     cert["selected_part"] = pos
-    cert["selection"] = [
-        {"side": o.side, "by": o.by, "count_intersect": o.count_intersect,
-         "count_complement": o.count_complement} for o in outcomes]
+    cert["selection"] = [o._asdict() for o in outcomes]
     return tuple(z for z in reservoir if kept >> z & 1), cert
 
 
@@ -576,11 +574,18 @@ def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
 def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
     """Least m with c(x, y) constant for all y in [m, window_bound); exact on
     the window.  A column with no pair above it inside the window reads no
-    pair and gives window_bound - 1, where the scan starts."""
-    return settles_at(lambda y: c.value(x, y), x + 1, window_bound - 1)
+    pair and gives window_bound - 1, where the scan starts.  A table's
+    column is read straight from its row when no color there is one that
+    `Coloring.value` would refuse."""
+    top = window_bound - 1
+    if c.table is not None and x < top < c.bound:
+        column = c.table[x][:top - x]  # c(x, y) for x < y <= top
+        if max(column) < c.k:
+            return x + 1 + settles_at(column.__getitem__, 0, top - x - 1)
+    return settles_at(lambda y: c.value(x, y), x + 1, top)
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     stage: int
     requirement: str

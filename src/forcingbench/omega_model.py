@@ -24,7 +24,7 @@ selection to the decided windows of model rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .approx import SetPresentation
 from .machine import HALTED, OracleWindow, run_program
@@ -300,8 +300,7 @@ def pi1_truth(m: CodedModelApprox, e: int, probe: int) -> Pi1Verdict:
     return Pi1Verdict(True, None, probe, provisional=True)
 
 
-@dataclass(frozen=True)
-class SelectOutcome:
+class SelectOutcome(NamedTuple):
     side: str  # INTERSECT_SIDE | COMPLEMENT_SIDE
     by: str  # "search" | "default" | "audit-flip"
     count_intersect: int
@@ -332,19 +331,19 @@ def select_side_mask(wi: int, wj: int, bound: int,
         raise PreconditionViolation("window i empty")
     inter, comp = wi & wj, wi & ~wj
     count_int, count_comp = inter.bit_count(), comp.bit_count()
-    side, by = COMPLEMENT_SIDE, "default"
     # the complement side clears at n0, once the last intersection point is
     # behind, and the intersect side at n1, once the last complement point is
     n0, n1 = inter.bit_length(), comp.bit_length()
     cap = bound // 2 if fuel is None else min(fuel, bound // 2)
-    if min(n0, n1) <= cap:
-        side = COMPLEMENT_SIDE if n0 <= n1 else INTERSECT_SIDE
-        by = "search"
-    counts = {INTERSECT_SIDE: count_int, COMPLEMENT_SIDE: count_comp}
-    other = INTERSECT_SIDE if side == COMPLEMENT_SIDE else COMPLEMENT_SIDE
-    if counts[side] == 0 and counts[other] > 0:
-        side, by = other, "audit-flip"
-    return SelectOutcome(side, by, count_int, count_comp)
+    searched = min(n0, n1) <= cap
+    intersect = searched and n0 > n1
+    by = "search" if searched else "default"
+    chosen, other = ((count_int, count_comp) if intersect
+                     else (count_comp, count_int))
+    if chosen == 0 and other > 0:  # the audit flips off an empty side
+        intersect, by = not intersect, "audit-flip"
+    return SelectOutcome(INTERSECT_SIDE if intersect else COMPLEMENT_SIDE, by,
+                         count_int, count_comp)
 
 
 def select_part_mask(wi: int, bound: int, parts: Sequence[Tuple[int, int]],
