@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
                        OracleWindow, RunOutcome, decode_program)
 from ..approx import Coloring, ColorLimit, settles_at, stable_color_limit
-from ..omega_model import select_part_mask
+from ..omega_model import select_part_mask, set_mask
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -409,8 +409,8 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
         "singletons": len(reservoir),
     }
     base = tuple(sorted(set(F)))
-    seq = (*base[-1:], *reservoir)
-    above = all(a < b for a, b in zip(seq, seq[1:]))
+    above = (list(reservoir) == sorted(set(reservoir))
+             and (not base or not reservoir or reservoir[0] > base[-1]))
 
     def oracle(added) -> Tuple[int, ...]:  # F ∪ D, sorted
         return (base + added if above
@@ -534,13 +534,6 @@ def _find_bad_partition(members, k, compatible, cap):
     return rec(0)
 
 
-def _mask(members) -> int:
-    mask = 0
-    for z in members:
-        mask |= 1 << z
-    return mask
-
-
 def restrict_to_piece(reservoir, window: int, partition):
     """Case 2 of EM and D2: no piece of `partition` is extendable, so keep
     the piece that side selection finds infinite inside the reservoir.
@@ -554,7 +547,7 @@ def restrict_to_piece(reservoir, window: int, partition):
     if not reservoir:
         return None, cert
     pos, kept, _, outcomes = select_part_mask(
-        _mask(reservoir), window, [(_mask(p), window) for p in partition])
+        set_mask(reservoir), window, [(set_mask(p), window) for p in partition])
     cert["selected_part"] = pos
     cert["selection"] = [o._asdict() for o in outcomes]
     return tuple(z for z in reservoir if kept >> z & 1), cert

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..approx import SetPresentation
-from ..machine import OracleWindow
-from ..omega_model import INTERSECT_SIDE, select_side
+from ..omega_model import (INTERSECT_SIDE, select_side_mask, set_mask,
+                           window_mask)
 from .base import (
     ABORT,
     CASE1,
@@ -108,14 +108,13 @@ def coh_step(state: State, family: Sequence[SetPresentation],
         cert = {"reason": "reservoir exhausted"}
         return settle(state, stage, label, ABORT, cond, cert,
                       entry={"aborted": True, **cert})
-    r_bits = tuple(
-        family[n].window.bits[x] if x < family[n].window.bound else 0
-        for x in range(cond.window_bound)
-    )
-    out = select_side(
-        OracleWindow.from_set(cond.reservoir, cond.window_bound).bits, r_bits)
+    # the reservoir and the n-th set as bitmasks of the window
+    r_mask = window_mask(family[n].window.bits[:cond.window_bound])
+    out = select_side_mask(set_mask(cond.reservoir), r_mask,
+                           cond.window_bound)
     side_bit = 1 if out.side == INTERSECT_SIDE else 0
-    survivors = tuple(x for x in cond.reservoir if r_bits[x] == side_bit)
+    survivors = tuple(x for x in cond.reservoir
+                      if (r_mask >> x & 1) == side_bit)
     max_f = max(cond.F) if cond.F else -1
     density = sum(1 for x in survivors if x > max_f)
     cert = {

@@ -72,65 +72,38 @@ def valid_em_extension(c: Coloring, F, E, limits) -> bool:
     the elements of E outside F join one at a time, each checked against F
     and the new elements before it, which covers every triple with one,
     two or three new elements exactly once.  Runs ask `_Extensions`."""
-    masks = _ColorMasks(color_rows(c, range(max((*F, *E), default=-1) + 1)))
+    rows = color_rows(c, range(max((*F, *E), default=-1) + 1))
     s = list(F)
     for z in sorted(set(E) - set(F)):
-        if not _fallow_through(masks, z, s, limits=limits):
+        if not _fallow_through(rows, s, z, limits=limits):
             return False
         s.append(z)
     return True
 
 
-class _ColorMasks:
-    """`color_rows` over a range (`rows[x][y]` is c(x, y)), and for each row
-    x, built when first asked, the bitmask of the y with c(x, y) = i for
-    each color i."""
-
-    def __init__(self, rows):
-        self.rows, self.built = rows, {}
-
-    def __getitem__(self, x) -> Dict[int, int]:
-        masks = self.built.get(x)
-        if masks is None:
-            masks = self.built[x] = {}
-            for y, color in enumerate(self.rows[x]):
-                if color is not None:
-                    masks[color] = masks.get(color, 0) | 1 << y
-        return masks
-
-
-def _fallow_through(masks: _ColorMasks, z, ys, before: int = 0,
-                    limits=None) -> bool:
-    """No triple {x, y, z} breaks fallowness, for y in `ys` and x in the
-    bitmask `before` or before y in `ys`: in each, the outer pair's color
-    is one of the two inner pairs' colors.  Given `limits`, nor does a pair
-    (y, z) break the limit-color condition.
-
-    One y checks every x at once: with lo < hi the two of y and z, a triple
-    breaks where x < lo and c(x, hi) is neither c(lo, hi) nor c(x, lo),
-    where lo < x < hi and c(lo, x) and c(x, hi) both differ from c(lo, hi),
-    and where hi < x and c(lo, x) is neither c(lo, hi) nor c(hi, x); each
-    is a bitmask of x read off the two rows' color masks."""
-    to_z, lz = masks.rows[z], limits.get(z) if limits else None
-    at_z, seen = masks[z], before  # seen: the x before y
-    for y in ys:
-        yz, at_y = to_z[y], masks[y]
-        lo, hi, at_lo, at_hi = ((y, z, at_y, at_z) if y < z
-                                else (z, y, at_z, at_y))
-        same = 0  # the x with c(lo, x) = c(hi, x)
-        for color, bits in at_lo.items():
-            same |= bits & at_hi.get(color, 0)
-        off_lo, off_hi = ~at_lo.get(yz, 0), ~at_hi.get(yz, 0)
-        if seen & (((1 << lo) - 1 & off_hi & ~same)
-                   | ((1 << hi) - 1 & -(2 << lo) & off_lo & off_hi)
-                   | (-(2 << hi) & off_lo & ~same)):
-            return False
+def _fallow_through(rows, elems, z, start=0, limits=None) -> bool:
+    """No triple {x, y, z} breaks fallowness, for y = elems[b] with
+    b >= start and x before y in elems: in each, the outer pair's color is
+    one of the two inner pairs' colors (`rows[x][y]` is c(x, y) in both
+    orders).  Given `limits`, nor does a pair (y, z) break the limit-color
+    condition."""
+    to_z, lz = rows[z], limits.get(z) if limits else None
+    for b in range(start, len(elems)):
+        y = elems[b]
+        to_y, yz, y_above = rows[y], to_z[y], y > z
+        for x in elems[:b]:
+            xy, xz = to_y[x], to_z[x]
+            if (x > z) != y_above:  # z is the middle one: outer pair x, y
+                if xy != xz and xy != yz:
+                    return False
+            # otherwise the outer pair joins z to the one farther from it
+            elif xz != yz and xy != (xz if (x < y) != y_above else yz):
+                return False
         if limits is not None:
             ly = limits.get(y)
             low, high = (ly, lz) if y < z else (lz, ly)
             if ly is None or lz is None or low != yz and low != high:
                 return False
-        seen |= 1 << y
     return True
 
 
@@ -141,9 +114,8 @@ class _Extensions:
     points `stab`, their maximum `top`; both grow with F."""
 
     def __init__(self, rows, limits: Dict[int, int], stab=()):
-        self.masks, self.limits, self.stab = _ColorMasks(rows), limits, stab
+        self.rows, self.limits, self.stab = rows, limits, stab
         self.order: List[int] = []  # F in commit order
-        self.prefix = [0]  # prefix[n]: the bitmask of order[:n]
         self.members: Set[int] = set()
         self.top = 0
         self.verdict: Dict[int, Tuple[bool, int]] = {}
@@ -151,8 +123,6 @@ class _Extensions:
     def _grow(self, F):
         if len(F) != len(self.order):
             new = sorted(set(F) - self.members)
-            for x in new:
-                self.prefix.append(self.prefix[-1] | 1 << x)
             self.order += new
             self.members.update(new)
             if self.stab:
@@ -172,13 +142,12 @@ class _Extensions:
         for z in new:
             ok, n = self.verdict.get(z, (True, 0))
             if ok and n < len(order):
-                ok = _fallow_through(self.masks, z, order[n:],
-                                     self.prefix[n], self.limits)
+                ok = _fallow_through(self.rows, order, z, n, self.limits)
                 self.verdict[z] = (ok, len(order))
             if not ok:
                 return False
-        return all(_fallow_through(self.masks, new[j], new[:j],
-                                   self.prefix[-1], self.limits)
+        return all(_fallow_through(self.rows, order + new[:j], new[j],
+                                   len(order), self.limits)
                    for j in range(1, len(new)))
 
     def floor(self, F, added) -> int:
@@ -189,9 +158,9 @@ class _Extensions:
 
 
 def em_clause_flags(c: Coloring, F, reservoir, density_min,
-                    masks: Optional[_ColorMasks] = None) -> Tuple[str, ...]:
-    """The clause tags (F, reservoir) meets; `masks`, when given, are over
-    a range that holds both, as a run keeps them."""
+                    rows=None) -> Tuple[str, ...]:
+    """The clause tags (F, reservoir) meets; `rows`, when given, are
+    `color_rows` over a range that holds both, as a run keeps them."""
     F = tuple(F)
     flags = []
     max_f = max(F) if F else -1
@@ -202,10 +171,9 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min,
     base_fallow = fallow_check(c, F).ok
     if base_fallow:
         flags.append("iv-fallow")
-    if masks is None:
-        masks = _ColorMasks(color_rows(
-            c, range(max((*F, *reservoir), default=-1) + 1)))
-    if base_fallow and all(_fallow_through(masks, z, F) for z in reservoir):
+    if rows is None:
+        rows = color_rows(c, range(max((*F, *reservoir), default=-1) + 1))
+    if base_fallow and all(_fallow_through(rows, F, z) for z in reservoir):
         flags.append("v-one-step-fallow")
     if all(
         len({c.value(x, z) for z in reservoir if z > x}) <= 1 for x in F
@@ -292,9 +260,7 @@ class _EmRun:
     # E+_n: grow F by `need` members of one limit class
     def extensions(self, members):
         """Per limit class i, the first (i, E) that keeps F ∪ E fallow
-        among the class's first EXTENSION_CAP need-subsets.  With need 1
-        and no more members than that, every member's singleton is among
-        them: one pass in member order finds each class's first."""
+        among the class's first EXTENSION_CAP need-subsets."""
         F, need, allows = self.F, self.need, self.ext.allows
         if need == 1 and len(members) <= EXTENSION_CAP:
             cls, found = self.cls, set()
@@ -352,7 +318,7 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
         }, state, run.step, stages)
     final = state.condition
     flags = em_clause_flags(c, final.F, final.reservoir, DENSITY_MIN,
-                            run.ext.masks)
+                            run.ext.rows)
     t.extraction = {
         "B": list(final.F),
         "fallow": "iv-fallow" in flags,

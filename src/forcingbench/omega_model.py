@@ -312,6 +312,14 @@ def window_mask(bits) -> int:
     return int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2)
 
 
+def set_mask(members) -> int:
+    """The int bitmask of a set of naturals: bit x set for member x."""
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
+
+
 def select_side_mask(wi: int, wj: int, bound: int,
                      fuel: Optional[int] = None) -> SelectOutcome:
     """The selection rule, on windows i and j given as int bitmasks (bit x
