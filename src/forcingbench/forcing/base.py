@@ -1,10 +1,11 @@
 """Shared substrate and stage engine of the three set-construction engines.
 
 A condition is a pair (finite committed set, reservoir).  A reservoir is
-a plain sorted tuple of members of the run's window [0, window_bound); side
-selection runs on int bitmasks of the window (bit x for member x).  `I` numbers the reservoirs a run
-has installed: 0 for the initial window, one more at every step that
-installs a new reservoir.  This module builds every condition a run
+a plain sorted tuple of members of the run's window [0, window_bound);
+Case-2 side selection reads it and the partition's pieces as int
+bitmasks of the window (bit x for member x).  `I` numbers the reservoirs
+a run has installed: 0 for the initial window, one more at every step
+that installs a new reservoir.  This module builds every condition a run
 holds: `start` the first, `narrowed` and `committed` each later one, and
 only these two install a reservoir.  It also reads every requirement
 label (`parse_label`).
@@ -547,7 +548,8 @@ def restrict_to_piece(reservoir, window: int, partition):
     if not reservoir:
         return None, cert
     pos, kept, _, outcomes = select_part_mask(
-        set_mask(reservoir), window, [(set_mask(p), window) for p in partition])
+        set_mask(reservoir), window,
+        [(set_mask(p), window) for p in partition])
     cert["selected_part"] = pos
     cert["selection"] = [o._asdict() for o in outcomes]
     return tuple(z for z in reservoir if kept >> z & 1), cert

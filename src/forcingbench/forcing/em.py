@@ -8,18 +8,30 @@ reservoir density, separation, fallowness of F, one-step fallowness
 F ∪ {z}, and tail-color constancy c(x, z) for x in F across the
 reservoir.
 
+A stage costs what changed since the last one.  The coloring and the
+window do not change during a run, so `_EmRun` works out once the pair
+colors `rows[x][y]` and each column's limit class and stabilization
+point.  F only grows during a run (every commit is F ∪ extra), so the
+run's `_Extensions` memo keeps F in commit order, its members as a set
+and the largest stabilization point over it, each brought up to date by
+what F gained; committing reads the reservoir's floor from that maximum.
+The schedule leaves the code it gave out in `State.cursor`, so a stage
+reads its requirement's kind and index from the code, not the label.
+Within a stage the bad-partition search asks the predicate once per
+distinct piece, an R stage searches each distinct pool for a halting
+witness once (`base.halt_search`, shared with its witness step), and the
+E+ predicate answers False for a piece of fewer than `need` members
+before it builds any class pool.
+
 The fallowness checks are incremental.  Every committed F passed the
 extension check against the run's limit colors when it was committed: F
 starts as (), and E- and R-witnesses alike are committed only through
 that check.  So a candidate F ∪ E needs scanning only on the triples and
-limit pairs through an element of E outside F.  The coloring and the
-window do not change during a run, so the pair colors `rows[x][y]` and
-each column's limit color and stabilization point are worked out once.
-F only grows during a run (every commit is F ∪ extra), so the run's
-`_Extensions` memo keeps, for each member z, its verdict on F ∪ {z} and
-how many members of F, in commit order, it has seen: asked again, it
-scans only the triples and limit pairs through z and a member F gained
-since, and a False verdict is final, since a larger F only adds triples.
+limit pairs through an element of E outside F.  `_Extensions` keeps, for
+each member z, its verdict on F ∪ {z} and how many members of F, in
+commit order, it has seen: asked again, it scans only the triples and
+limit pairs through z and a member F gained since, and a False verdict
+is final, since a larger F only adds triples.
 """
 
 from __future__ import annotations
@@ -111,7 +123,8 @@ class _Extensions:
     """One run's memo of extension verdicts (see the module docstring):
     `verdict[z]` is (ok, how many members of `order` it has seen).  It
     keeps F's members as a set and, given the window's stabilization
-    points `stab`, their maximum `top`; both grow with F."""
+    points `stab`, their maximum `top`; each grows with F, when a question
+    names an F longer than `order`."""
 
     def __init__(self, rows, limits: Dict[int, int], stab=()):
         self.rows, self.limits, self.stab = rows, limits, stab

@@ -7,6 +7,7 @@ far as a bounded re-check can see), refuted (contradicted by replay).
 
 `verify_transcript` makes these passes, in this order of findings:
 
+- a kind no run writes is refuted, with or without the instance;
 - the record pass, before every other: a stage record is refuted here,
   once, and read by no later pass, if its branch is not one its kind
   writes (an RT2 transcript writes no stage of its own, and a kind no run
@@ -47,7 +48,13 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   of the extracted set, and each negative stays divergent on it;
 - with the instance: EM's extracted set is fallow (and each aborted EM
   stage is reported provisional), D2's lies in the selected part, and
-  the pipeline's set is monochromatic.
+  the pipeline's set is monochromatic;
+- last, the extraction is tied to the stages: coh, EM and D2 write
+  `config["stages"]` records, and what they extract is what the last
+  condition read commits (coh's `C` and EM's `B` its committed set, none
+  when no condition was read; D2's `F_parts` its parts, with `B` the
+  selected one).  An extracted set that an earlier check refuted is not
+  compared again, so it is refuted once.
 
 No set reaches a machine question unless it is a list of distinct
 naturals below the window, so a forged member costs no more fuel than an

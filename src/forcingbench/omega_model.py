@@ -14,9 +14,11 @@ cantor(i, x) < depth.  Rows above DERIVED_BASE form the derived-index
 region: explicit windows allocated on demand for set operations whose
 result matches no structural row.
 
-Side selection (`select_side`, and `select_part` over a partition) works
-on plain bit windows; the constructions in `forcing/` call it on their
-reservoir windows directly.  The model itself serves `build-model` and the
+Side selection is one rule on int bitmasks (`select_side_mask`, and
+`select_part_mask` over a partition), read off with `int.bit_count` and
+`int.bit_length`; `select_side` and `select_part` apply it to bit tuples.
+The constructions in `forcing/` call it on bitmasks of their reservoirs
+and partitions directly.  The model itself serves `build-model` and the
 model audit; `pi2_select` and `select_infinite_part` apply the same
 selection to the decided windows of model rows.
 """
@@ -322,18 +324,11 @@ def set_mask(members) -> int:
 
 def select_side_mask(wi: int, wj: int, bound: int,
                      fuel: Optional[int] = None) -> SelectOutcome:
-    """The selection rule, on windows i and j given as int bitmasks (bit x
-    is member x) and compared below `bound`: pick the side of window j on
-    which window i stays infinite (window-scale).
-
-    Realizes the partial tail search: find the least n below half the
-    window (and below `fuel`, when given) past which window i avoids one
-    side of window j; default to the complement side on exhaustion, then
-    audit window densities and flip if the chosen side is empty while the
-    other is not.  Only the last member of window i on each side of window
-    j decides where it stops, so counts and search are read off the two
-    sides' masks with `int.bit_count` and `int.bit_length`.
-    """
+    """The selection rule of `select_side`, on windows i and j given as int
+    bitmasks (bit x is member x) and compared below `bound`.  Only the last
+    member of window i on each side of window j decides where the tail
+    search stops, so the counts and the search are read off the two sides'
+    masks with `int.bit_count` and `int.bit_length`."""
     wi &= (1 << bound) - 1
     if not wi:
         raise PreconditionViolation("window i empty")
@@ -387,7 +382,17 @@ def _mask_bits(mask: int, bound: int) -> Tuple[int, ...]:
 
 def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
                 fuel: Optional[int] = None) -> SelectOutcome:
-    """`select_side_mask` on bit tuples, compared on their common prefix."""
+    """Pick the side of window j on which window i stays infinite
+    (window-scale); windows are bit tuples compared on their common prefix.
+
+    Realizes the partial tail search: find the least n below half the
+    window (and below `fuel`, when given) past which window i avoids one
+    side of window j; default to the complement side on exhaustion, then
+    audit window densities and flip if the chosen side is empty while the
+    other is not.  The tuples are read as int bitmasks, on which
+    `select_side_mask` is the one implementation of this rule; an empty
+    window i raises PreconditionViolation.
+    """
     return select_side_mask(window_mask(wi), window_mask(wj),
                             min(len(wi), len(wj)), fuel)
 
