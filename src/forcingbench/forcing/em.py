@@ -273,15 +273,18 @@ class _EmRun:
     # E+_n: grow F by `need` members of one limit class
     def extensions(self, members):
         """Per limit class i, the first (i, E) that keeps F ∪ E fallow
-        among the class's first EXTENSION_CAP need-subsets."""
+        among the class's first EXTENSION_CAP need-subsets: the predicate
+        asks for any, the witness for the one whose top element is least.
+        With need 1 and no more members than that cap, every member's
+        singleton is among its class's first, so the least such member
+        answers both, and it alone is yielded."""
         F, need, allows = self.F, self.need, self.ext.allows
         if need == 1 and len(members) <= EXTENSION_CAP:
-            cls, found = self.cls, set()
+            cls = self.cls
             for z in members:
-                if (cls[z] is not None and cls[z] not in found
-                        and allows(F, (z,))):
-                    found.add(cls[z])
+                if cls[z] is not None and allows(F, (z,)):
                     yield cls[z], (z,)
+                    return
             return
         for i, pool in enumerate(self.classes(members)):
             if len(pool) >= need:
