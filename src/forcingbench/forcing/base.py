@@ -188,52 +188,30 @@ class FallowReport:
 
 def color_rows(c: Coloring, elems) -> List[List[Optional[int]]]:
     """rows[a][b] = c(elems[a], elems[b]) for increasing `elems`, in both
-    orders; the diagonal is None.  Each pair is read once, row by row,
-    straight from the table when there is one."""
-    table = c.table
-    if table is None:
-        up = [[c.value(x, y) for y in elems[a + 1:]]
-              for a, x in enumerate(elems)]
-    else:
-        up = [[table[x][y - x - 1] for y in elems[a + 1:]]
-              for a, x in enumerate(elems)]
-    # the rows padded to full length, so the columns come out of `zip`
-    square = [[None] * (a + 1) + u for a, u in enumerate(up)]
-    return [[*col[:a], *row[a:]]
-            for a, (col, row) in enumerate(zip(zip(*square), square))]
+    orders; the diagonal is None.  Each pair is read once, straight from the
+    table when there is one."""
+    table, n = c.table, len(elems)
+    rows = [[None] * n for _ in range(n)]
+    for a, x in enumerate(elems):
+        for b in range(a + 1, n):
+            y = elems[b]
+            rows[a][b] = rows[b][a] = (c.value(x, y) if table is None
+                                       else table[x][y - x - 1])
+    return rows
 
 
 def fallow_check(c: Coloring, s) -> FallowReport:
     """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
-    if any.  Each pair is read once, in `color_rows`' order, into the later
-    members' positions as one bitmask per color of the pair from x, so one
-    pair x < y checks every z above it at once."""
+    if any, scanning every triple; each pair is read once, by `color_rows`."""
     elems = sorted(s)
-    n, table = len(elems), c.table
-    colors, masks = [], []  # per x: the colors to later members, by color
-    for a, x in enumerate(elems):
-        if table is None:
-            up = [c.value(x, y) for y in elems[a + 1:]]
-        else:
-            row = table[x]
-            up = [row[y - x - 1] for y in elems[a + 1:]]
-        by_color: Dict[int, int] = {}
-        for d, col in enumerate(up, a + 1):
-            by_color[col] = by_color.get(col, 0) | 1 << d
-        colors.append(up)
-        masks.append(by_color)
-    for a in range(n):
-        up, from_x = colors[a], masks[a].items()
+    rows, n = color_rows(c, elems), len(elems)
+    for a, to_x in enumerate(rows):
         for b in range(a + 1, n):
-            xy, from_y = up[b - a - 1], masks[b]
-            bad = 0  # each z with c(x, z) outside {c(x, y), c(y, z)}
-            for col, bits in from_x:
-                if col != xy:
-                    bad |= bits & ~from_y.get(col, 0)
-            bad &= -(2 << b)  # z above y
-            if bad:
-                d = (bad & -bad).bit_length() - 1
-                return FallowReport(False, (elems[a], elems[b], elems[d]))
+            xy, to_y = to_x[b], rows[b]
+            for d in range(b + 1, n):
+                xz = to_x[d]
+                if xz != xy and xz != to_y[d]:
+                    return FallowReport(False, (elems[a], elems[b], elems[d]))
     return FallowReport(True)
 
 
@@ -580,7 +558,7 @@ def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
     return settles_at(lambda y: c.value(x, y), x + 1, top)
 
 
-@dataclass(slots=True)
+@dataclass
 class StageRecord:
     stage: int
     requirement: str
