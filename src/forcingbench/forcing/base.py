@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
                        OracleWindow, RunOutcome, decode_program)
@@ -342,8 +342,7 @@ def query_free_status(e: int, fuel_cap: int):
     return ("diverges", fuel_cap)
 
 
-@dataclass(frozen=True)
-class HaltWitness:
+class HaltWitness(NamedTuple):
     members: Tuple[int, ...]  # the full oracle set F ∪ D
     added: Tuple[int, ...]  # D, the reservoir part
     steps: int
@@ -382,6 +381,9 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
 
     F is sorted once per search.  When the reservoir increases from above
     F's maximum, as in every run, each F ∪ D is that sorted F followed by D.
+    A query-free program halts with a given fuel exactly when the fuel
+    reaches the step at which the largest fuel's run halted, so candidates
+    whose fuel falls short of it are passed over unasked.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
@@ -395,10 +397,13 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
         return (base + added if above
                 else tuple(sorted(set(base).union(added))))
 
+    steps = 1  # a candidate whose fuel falls short of this cannot halt
     if not queries_oracle(e):
         record["query_free"] = True
-        if bounded_halt(e, oracle(tuple(reservoir[-1:]))).tag != HALTED:
+        top = bounded_halt(e, oracle(tuple(reservoir[-1:])))
+        if top.tag != HALTED:
             return None, record
+        steps = top.steps
         candidates = chain([()], ((z,) for z in reservoir))
     else:
         width = record["subset_width"]
@@ -406,6 +411,8 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
                            ((z,) for z in reservoir[width:]))
     for added in candidates:
         s = oracle(added)
+        if (s[-1] + 1 if s else 1) < steps:
+            continue
         if extra_filter is None or extra_filter(s):
             out = bounded_halt(e, s)
             if out.tag == HALTED:

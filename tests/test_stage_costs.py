@@ -3,7 +3,10 @@ of the extraction to the stages.
 
 Side selection runs on int bitmasks; here a slow reference written from
 `select_side`'s docstring, on bit tuples, must give the same outcomes on
-random windows and partitions, and raise on the same empty window.  EM's
+random windows and partitions, and raise on the same empty window.  The
+witness search sorts F once and passes over the candidates whose fuel
+cannot make a query-free program halt; it must find what a search that
+runs every candidate finds.  EM's
 E+ predicate answers False for a piece with fewer than `need` members
 before it builds class pools, and `halt_compat` searches each distinct
 pool once per stage; both must answer as the predicates without those
@@ -25,12 +28,16 @@ import pytest
 from forcingbench.forcing import em, run_d2, run_em, verify_transcript
 from forcingbench.forcing.base import (
     ABORT,
+    HaltWitness,
     Transcript,
+    bounded_halt,
     find_halt_witness,
     halt_compat,
     halt_search,
+    queries_oracle,
     query_free_status,
 )
+from forcingbench.machine import HALTED
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
 from forcingbench.omega_model import (
     COMPLEMENT_SIDE,
@@ -172,18 +179,25 @@ def plain_extendable(c, limits, F, need, piece):
 
 def test_extendable_matches_the_plain_predicate(em_stages):
     rng = random.Random(7)
-    asked = short = 0
+    asked = short = classless = 0
     for c, window, conds in em_stages:
-        for F, reservoir in rng.sample(conds, min(12, len(conds))):
+        start = ((), tuple(range(window)))  # where nothing vetoes a member
+        for F, reservoir in [start] + rng.sample(conds, min(12, len(conds))):
             run = em._EmRun(c, window)
+            # members whose column has no limit color belong to no class
+            for z in rng.sample(range(window), 8):
+                run.ext.limits.pop(z, None)
+            run.cls = tuple(map(run.ext.limits.get, range(window)))
             run.F, run.cond = F, None
-            for piece in _pieces(rng, reservoir, 12):
+            singles = [(z,) for z in reservoir] if not F else []
+            for piece in [*_pieces(rng, reservoir, 12), *singles]:
                 run.need = rng.randrange(1, 4)
                 short += len(piece) < run.need
+                classless += any(run.cls[z] is None for z in piece)
                 assert run.extendable(piece) == plain_extendable(
                     c, run.ext.limits, F, run.need, piece), (F, piece)
                 asked += 1
-    assert asked > 300 and short > 20
+    assert asked > 300 and short > 20 and classless > 20
 
 
 def test_halt_compat_matches_the_plain_predicate(em_stages):
@@ -227,6 +241,54 @@ def test_halt_compat_matches_the_plain_predicate(em_stages):
                     assert search(pool) == find_halt_witness(
                         e, F, pool, extra_filter=fallow)
     assert kinds == {"queries", "halts", "diverges"}
+
+
+def plain_find_halt_witness(e, F, reservoir, subset_width, extra_filter):
+    """The witness search without shortcuts: every candidate, in order,
+    through the filter and a run of its own."""
+    record = {"subset_width": min(subset_width, len(reservoir)),
+              "singletons": len(reservoir)}
+    if not queries_oracle(e):
+        record["query_free"] = True
+        if bounded_halt(e, sorted(set(F) | set(reservoir[-1:]))).tag != HALTED:
+            return None, record
+        candidates = [()] + [(z,) for z in reservoir]
+    else:
+        width = record["subset_width"]
+        head = reservoir[:width]
+        candidates = [tuple(head[t] for t in range(width) if mask >> t & 1)
+                      for mask in range(1 << width)]
+        candidates += [(z,) for z in reservoir[width:]]
+    for added in candidates:
+        s = tuple(sorted(set(F) | set(added)))
+        if extra_filter is not None and not extra_filter(s):
+            continue
+        out = bounded_halt(e, s)
+        if out.tag == HALTED:
+            return (HaltWitness(s, tuple(sorted(added)), out.steps, out.use,
+                                out.value), record)
+    return None, record
+
+
+def test_witness_search_matches_the_plain_search():
+    rng = random.Random(29)
+    found = query_free = unordered = 0
+    for _ in range(1500):
+        e = rng.randrange(3000)
+        F = tuple(sorted(rng.sample(range(12), rng.randrange(0, 4))))
+        pool = rng.sample(range(40), rng.randrange(0, 7))
+        if rng.random() < 0.7:  # as a run has it: increasing, above F
+            pool = sorted(z for z in pool if not F or z > F[-1])
+        else:
+            unordered += 1
+        veto = rng.randrange(40)
+        fallow = rng.choice((None, lambda s, veto=veto: veto not in s))
+        width = rng.randrange(0, 5)
+        want = plain_find_halt_witness(e, F, tuple(pool), width, fallow)
+        assert find_halt_witness(e, F, tuple(pool), width, fallow) == want
+        found += want[0] is not None
+        query_free += not queries_oracle(e)
+    assert found > 100 and query_free > 100 and unordered > 300
 
 
 # -- blocked order --------------------------------------------------------
