@@ -376,10 +376,6 @@ def select_part_mask(wi: int, bound: int, parts: Sequence[Tuple[int, int]],
     return t, cur & p & ((1 << bound) - 1), bound, outcomes
 
 
-def _mask_bits(mask: int, bound: int) -> Tuple[int, ...]:
-    return tuple(mask >> x & 1 for x in range(bound))
-
-
 def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
                 fuel: Optional[int] = None) -> SelectOutcome:
     """Pick the side of window j on which window i stays infinite
@@ -405,7 +401,7 @@ def select_part(wi: Tuple[int, ...], parts: Sequence[Tuple[int, ...]],
     pos, kept, bound, outcomes = select_part_mask(
         window_mask(wi), len(wi),
         [(window_mask(p), len(p)) for p in parts], fuel)
-    return pos, _mask_bits(kept, bound), outcomes
+    return pos, tuple(kept >> x & 1 for x in range(bound)), outcomes
 
 
 def pi2_select(m: CodedModelApprox, i: ModelIndex, j: ModelIndex,
