@@ -12,6 +12,7 @@ committed x so that every later commitment lands on x's chosen side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional, Sequence
 
 from ..approx import SetPresentation
@@ -47,9 +48,10 @@ class CohConfig:
 
 
 def _next_requirement(state: State, family_size: int, stage: int,
-                      schedule: str) -> Optional[str]:
+                      schedule: str) -> str:
     """`State.cursor` is the round `t` (least) or the R index
-    (committed-columns) last given out: F and `decided` only grow."""
+    (committed-columns) last given out: F and `decided` only grow, and
+    E_{t+1} is due at every round t >= |F|."""
     cond = state.condition
     if schedule == "committed-columns":
         for x in cond.F:
@@ -60,7 +62,7 @@ def _next_requirement(state: State, family_size: int, stage: int,
         while f"R_{state.cursor}" in state.decided:
             state.cursor += 1
         return f"R_{state.cursor}"
-    for t in range(state.cursor, 2 * stage + 2):
+    for t in count(state.cursor):
         state.cursor = t
         if t < family_size and f"D_{t}" not in state.decided:
             return f"D_{t}"
@@ -68,15 +70,12 @@ def _next_requirement(state: State, family_size: int, stage: int,
             return f"E_{t + 1}"
         if f"R_{t}" not in state.decided:
             return f"R_{t}"
-    return None
 
 
 def coh_step(state: State, family: Sequence[SetPresentation],
-             config: CohConfig, stage: int) -> Optional[StageRecord]:
+             config: CohConfig, stage: int) -> StageRecord:
     cond = state.condition
     label = _next_requirement(state, len(family), stage, config.schedule)
-    if label is None:
-        return None
     kind, n, _ = parse_label(label)
 
     if kind == "E":

@@ -11,6 +11,7 @@ Case-1 and Case-2 certificate, sum to at most the number of stages run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
@@ -65,32 +66,24 @@ class D2Config:
     window: int = 64
 
 
-def requirement_order(code: int, k: int) -> List[str]:
-    e = code // 2
-    kind = "E" if code % 2 == 0 else "R"
-    return [f"{kind}_{e}^{i}" for i in range(k)]
-
-
-def _next_d2_requirement(state: State, k: int) -> Optional[str]:
+def _next_d2_requirement(state: State, k: int) -> str:
     """The least free label in (code, color) order, from the cursor on."""
-    horizon = len(state.decided) + len(state.blocked) + 4
-    for code in range(state.cursor, 2 * horizon):
-        for label in requirement_order(code, k):
+    for code in count(state.cursor):
+        kind = "E" if code % 2 == 0 else "R"
+        for i in range(k):
+            label = f"{kind}_{code // 2}^{i}"
             if label not in state.decided and label not in state.blocked:
                 state.cursor = code
                 return label
-    return None
 
 
 def d2_step(state: State, d: Delta2Partition, stage: int,
             part_of: Tuple[int, ...],
-            counters: List[int]) -> Optional[StageRecord]:
+            counters: List[int]) -> StageRecord:
     """One stage; `part_of[z]` is the limit part of window member z, and
     `counters[i]` counts the requirements of color i decided so far."""
     cond = state.condition
     label = _next_d2_requirement(state, d.k)
-    if label is None:
-        return None
     kind, e, color = parse_label(label)
     window = cond.window_bound
     f_color = cond.F_parts[color]
@@ -164,6 +157,8 @@ def select_color(t: Transcript, horizon: int) -> int:
 
 def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
+    if d.k < 1:
+        raise MalformedInstanceError("a partition into 0 parts has no part")
     window = min((config or D2Config()).window, d.bound)
     state = State(start(window, parts=d.k))
     part_of = tuple(d.limit_part(z) for z in range(window))

@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..approx import Coloring
+from ..approx import Coloring, MalformedInstanceError
 from .base import (
     PARTITION_CAP,
     SUBSET_WIDTH,
@@ -195,12 +195,11 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min,
     return tuple(flags)
 
 
-def _next_em_requirement(state: State) -> Optional[str]:
+def _next_em_requirement(state: State) -> str:
     """The least free code from the cursor on: 2n-2 is E+_n, 2e+1 R_e."""
     decided, blocked, size = (state.decided, state.blocked,
                               len(state.condition.F))
-    for code in range(state.cursor, 2 * (len(decided) + len(blocked) + size)
-                      + 4):
+    for code in itertools.count(state.cursor):
         if code % 2 == 0:
             if size > code // 2:
                 continue
@@ -212,7 +211,6 @@ def _next_em_requirement(state: State) -> Optional[str]:
         if label not in blocked:
             state.cursor = code
             return label
-    return None
 
 
 class _EmRun:
@@ -231,12 +229,10 @@ class _EmRun:
         stab = [stabilization_point(c, z, window) for z in range(window)]
         self.ext = _Extensions(color_rows(c, range(window)), limits, stab)
 
-    def step(self, state: State, stage: int) -> Optional[StageRecord]:
+    def step(self, state: State, stage: int) -> StageRecord:
         """One stage.  The schedule leaves the code it gave out in the
         cursor, so the label is not read back."""
         label = _next_em_requirement(state)
-        if label is None:
-            return None
         code, cond = state.cursor, state.condition
         self.cond, self.F = cond, cond.F
         if code % 2 == 0:
@@ -323,6 +319,8 @@ class _EmRun:
 
 def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     """Run the construction; returns (Transcript, B prefix)."""
+    if c.declared_bound is None:  # `limit_color` would refuse the top columns
+        raise MalformedInstanceError("no stabilization bound (declared_bound)")
     window = min((config or EmConfig()).window, c.bound)
     state = State(start(window))
     run = _EmRun(c, window)

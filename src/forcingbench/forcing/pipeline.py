@@ -11,8 +11,6 @@ back to a monochromatic set, which is verified exhaustively before return.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..approx import Coloring, MalformedInstanceError, SetPresentation
 from ..machine import OracleWindow
 from .base import Transcript, coloring_digest
@@ -21,9 +19,7 @@ from .d2 import D2Config, Delta2Partition, run_d2
 
 
 class PipelineInconclusive(RuntimeError):
-    def __init__(self, msg: str, column: Optional[int] = None):
-        super().__init__(msg)
-        self.column = column
+    pass
 
 
 # the nested coh run's density count and witness-search width, and the
@@ -66,19 +62,12 @@ def rt2_pipeline(c: Coloring, stages: int):
         if info is not None and "side" in info:
             sides[x] = info["side"]
     # a column is stable when every later committed element sits on its side
-    stable_cols = []
-    unstable = None
-    for x in sorted(sides):
-        later = [y for y in committed if y > x]
-        if all(c.value(x, y) == sides[x] for y in later):
-            stable_cols.append(x)
-        else:
-            unstable = x
+    stable_cols = [x for x in sorted(sides)
+                   if all(c.value(x, y) == sides[x]
+                          for y in committed if y > x)]
     if not stable_cols:
         raise PipelineInconclusive(
-            "no committed column reached stability on the window",
-            column=unstable,
-        )
+            "no committed column reached stability on the window")
     part_of = tuple(sides[x] for x in stable_cols)
     induced = Delta2Partition(
         k=2,

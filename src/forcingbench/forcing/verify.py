@@ -5,24 +5,28 @@ supplied): the construction code is never consulted.  Findings carry one
 of three grades: certified (re-checked and exact), provisional (true as
 far as a bounded re-check can see), refuted (contradicted by replay).
 
-`verify_transcript` makes these passes, in this order of findings:
+`_KINDS` is the one table of what each kind writes: its branches (coh's
+Case1, Case2, E-extension, D-restriction and abort, EM's and D2's Case1,
+Case2 and abort, and no stage of RT2's own), its `instance_hash` and its
+extracted set's key (coh's `C`, RT2's `H`, EM's and D2's `B`).  No run
+writes a skip: every stage meets a requirement.  `verify_transcript`
+makes these passes, in this order of findings:
 
 - a kind no run writes is refuted, with or without the instance;
-- the record pass, before every other: a stage record is refuted here,
-  once, and read by no later pass, if its branch is not one its kind
-  writes (an RT2 transcript writes no stage of its own, and a kind no run
-  writes has none), its certificates are not a mapping, its `stage` is
-  not its position, or its condition is one it cannot read into sets
-  (not a mapping, or without the sets its kind writes);
-- the extension chain, over the records read (for RT2, the audits of its
-  nested coh and D2 transcripts instead, each read by
+- the record pass, before every other and for every kind, one pass over
+  the stages: a record is refuted there, once, and read by no later pass,
+  if its branch is not one its kind writes, its certificates are not a
+  mapping, its `stage` is not its position, or its condition is one it
+  cannot read into sets (not a mapping, or without the sets its kind
+  writes).  Each condition read must be valid (its committed set stays
+  below its reservoir) and extend the one before.  A condition `null`
+  (None) is the one before it: transcript format version 2 writes a
+  condition out only when it differs from the last one written.  A `null`
+  at the first record read repeats nothing and is refuted.  Every kind
+  but RT2 gets a certified finding for the chain;
+- for RT2, the audits of its nested coh and D2 transcripts, each read by
   `Transcript.from_dict`; one it cannot read, or whose kind is not its
-  slot's name, is one refuted finding):
-  every condition is valid (its committed set stays below its reservoir)
-  and extends the one before.  A condition `null` (None) is the one
-  before it: transcript format version 2 writes a condition out only when
-  it differs from the last one written.  A `null` at the first record
-  repeats nothing and is refuted;
+  slot's name, is one refuted finding;
 - D2's decision counters are integers within the budget of their
   record's stage number;
 - the run's window (`config["window"]`) is its first read record's
@@ -32,7 +36,7 @@ far as a bounded re-check can see), refuted (contradicted by replay).
   transcript's kind writes of it (coh's family digest taken at the window
   read above); if it is not, or the kind is one no run writes, it is
   refuted, and no later check reads the instance;
-- the extracted set (coh's `C`, RT2's `H`, else `B`) is a list of
+- the extracted set (`B` for a kind no run writes) is a list of
   distinct naturals below the window; if it is not, it is refuted here,
   and neither the ledger nor the instance checks read it;
 - every Case-1 certificate replays: its oracle lists a finite set of
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..machine import HALTED
 from .base import (
@@ -81,7 +85,6 @@ from .base import (
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
-    SKIP,
     Transcript,
     TranscriptFormatError,
     bounded_halt,
@@ -100,17 +103,21 @@ CERTIFIED = "certified"
 PROVISIONAL = "provisional"
 REFUTED = "refuted"
 
-# the branches a run of each kind writes; an RT2 run writes no stage of
-# its own, only its nested coh and D2 transcripts
-_BRANCHES = {"coh": (CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT, SKIP),
-             "em": (CASE1, CASE2, ABORT, SKIP),
-             "d2": (CASE1, CASE2, ABORT, SKIP),
-             "rt2": ()}
-# the `instance_hash` a run of each kind writes of its instance, at a window
-_DIGESTS = {"coh": family_digest,
-            "em": lambda c, _: coloring_digest(c),
-            "d2": lambda d, _: partition_digest(d),
-            "rt2": lambda c, _: coloring_digest(c)}
+class _Kind(NamedTuple):
+    branches: Tuple[str, ...]  # the branches a run of the kind writes
+    digest: Callable  # the `instance_hash` it writes of (instance, window)
+    extracted: str  # the extraction key of its extracted set
+
+
+_KINDS = {
+    "coh": _Kind((CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT),
+                 family_digest, "C"),
+    "em": _Kind((CASE1, CASE2, ABORT), lambda c, _: coloring_digest(c), "B"),
+    "d2": _Kind((CASE1, CASE2, ABORT), lambda d, _: partition_digest(d),
+                "B"),
+    "rt2": _Kind((), lambda c, _: coloring_digest(c), "H"),
+}
+_NO_KIND = _Kind((), lambda *_: None, "B")  # a kind no run writes
 
 
 @dataclass
@@ -132,17 +139,16 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
-def _read_records(t: Transcript, report: AuditReport):
-    """The records later passes read, each as (record, whether its
-    condition is valid, why it does not extend the last condition read or
-    None), and the last condition read (None for none).  A condition is
-    read, into its sets, once: one that is None or repeats the last one
-    read keeps the last validity and extends it, and one with nothing to
-    repeat has validity None.  Every other record is refuted here, once
-    (see the module docstring)."""
-    branches = _BRANCHES.get(t.kind, ()) if isinstance(t.kind, str) else ()
+def _check_chain(t: Transcript, report: AuditReport):
+    """The record pass (see the module docstring): the records read, and
+    the last condition read (None for none).  A condition is read into its
+    sets once; one that is None or repeats it keeps its verdicts, which
+    follow the refutations of unread records."""
+    branches = _KINDS.get(t.kind if isinstance(t.kind, str) else None,
+                          _NO_KIND).branches
     parts = t.kind == "d2"
-    records, last, prev, valid = [], None, None, None
+    records, verdicts = [], []
+    last = prev = valid = None
     for s, rec in enumerate(t.stages):
         fault = broken = None
         if rec.branch not in branches:
@@ -163,31 +169,21 @@ def _read_records(t: Transcript, report: AuditReport):
                 if prev is not None and not extends_sets(sets, prev, notes):
                     broken = notes[0] if notes else "clause check"
                 last, prev = rec.condition, sets
-        if fault is None:
-            records.append((rec, valid, broken))
-        else:
+        if fault is not None:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
-    return records, last
-
-
-def _check_chain(t: Transcript, report: AuditReport):
-    """The record pass, then its verdicts: every read record's condition
-    is valid (its committed set stays below its reservoir) and extends the
-    one before, and a None with nothing before it is refuted once.  The
-    records read, and the last condition read."""
-    records, last = _read_records(t, report)
-    if records and records[0][0].condition is None:
-        report.add(REFUTED, "first stage repeats no earlier condition",
-                   records[0][0].stage, records[0][0].requirement)
-    for rec, valid, broken in records:
+            continue
+        if not records and rec.condition is None:
+            verdicts.append(("first stage repeats no earlier condition", rec))
         if valid is False:
-            report.add(REFUTED, "committed set reaches into the reservoir",
-                       rec.stage, rec.requirement)
+            verdicts.append(("committed set reaches into the reservoir", rec))
         if broken is not None:
-            report.add(REFUTED, "extension order violated: " + broken,
-                       rec.stage, rec.requirement)
-    report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
-    return [rec for rec, _, _ in records], last
+            verdicts.append(("extension order violated: " + broken, rec))
+        records.append(rec)
+    for note, rec in verdicts:
+        report.add(REFUTED, note, rec.stage, rec.requirement)
+    if t.kind != "rt2":
+        report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
+    return records, last
 
 
 def _tie_extraction(t: Transcript, last, b, report: AuditReport):
@@ -350,10 +346,11 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     pair pipeline.
     """
     report = AuditReport()
-    if not (isinstance(t.kind, str) and t.kind in _BRANCHES):
+    kind = _KINDS.get(t.kind if isinstance(t.kind, str) else None, _NO_KIND)
+    if kind is _NO_KIND:
         report.add(REFUTED, "kind is not one a run writes")
+    records, last = _check_chain(t, report)
     if t.kind == "rt2":
-        records, last = _read_records(t, report)  # none: RT2 writes no stage
         for nested in ("coh", "d2"):
             try:
                 sub = Transcript.from_dict(t.extraction.get(nested))
@@ -368,8 +365,6 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             report.findings.extend(sub.findings)
             for g, n in sub.counts.items():
                 report.counts[g] += n
-    else:
-        records, last = _check_chain(t, report)
 
     if t.kind == "d2":
         total = 0
@@ -391,15 +386,14 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     window = _window(t, records, report)
     if instance is not None:
         try:
-            expected = _DIGESTS[t.kind](instance, window)
-        except (KeyError, TypeError, AttributeError):  # kind or instance
+            expected = kind.digest(instance, window)
+        except (TypeError, AttributeError):  # an instance of another kind
             expected = None
         if expected is None or t.instance_hash != expected:
             report.add(REFUTED, "instance_hash is not the instance's digest")
             instance = None  # the run did not read it: nothing to check
     # the ledger and the instance checks read the extracted set
-    b = t.extraction.get("C" if t.kind == "coh" else
-                         "H" if t.kind == "rt2" else "B")
+    b = t.extraction.get(kind.extracted)
     fault = _set_fault(b, window, "extracted set")
     if fault is not None:
         report.add(REFUTED, fault)

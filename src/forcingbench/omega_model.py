@@ -304,7 +304,7 @@ def pi1_truth(m: CodedModelApprox, e: int, probe: int) -> Pi1Verdict:
 
 class SelectOutcome(NamedTuple):
     side: str  # INTERSECT_SIDE | COMPLEMENT_SIDE
-    by: str  # "search" | "default" | "audit-flip"
+    by: str  # "search": the tail search stopped; "default": it ran out
     count_intersect: int
     count_complement: int
 
@@ -333,20 +333,15 @@ def select_side_mask(wi: int, wj: int, bound: int,
     if not wi:
         raise PreconditionViolation("window i empty")
     inter, comp = wi & wj, wi & ~wj
-    count_int, count_comp = inter.bit_count(), comp.bit_count()
     # the complement side clears at n0, once the last intersection point is
     # behind, and the intersect side at n1, once the last complement point is
     n0, n1 = inter.bit_length(), comp.bit_length()
     cap = bound // 2 if fuel is None else min(fuel, bound // 2)
     searched = min(n0, n1) <= cap
-    intersect = searched and n0 > n1
-    by = "search" if searched else "default"
-    chosen, other = ((count_int, count_comp) if intersect
-                     else (count_comp, count_int))
-    if chosen == 0 and other > 0:  # the audit flips off an empty side
-        intersect, by = not intersect, "audit-flip"
-    return SelectOutcome(INTERSECT_SIDE if intersect else COMPLEMENT_SIDE, by,
-                         count_int, count_comp)
+    return SelectOutcome(
+        INTERSECT_SIDE if searched and n0 > n1 else COMPLEMENT_SIDE,
+        "search" if searched else "default",
+        inter.bit_count(), comp.bit_count())
 
 
 def select_part_mask(wi: int, bound: int, parts: Sequence[Tuple[int, int]],
@@ -383,11 +378,11 @@ def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
 
     Realizes the partial tail search: find the least n below half the
     window (and below `fuel`, when given) past which window i avoids one
-    side of window j; default to the complement side on exhaustion, then
-    audit window densities and flip if the chosen side is empty while the
-    other is not.  The tuples are read as int bitmasks, on which
-    `select_side_mask` is the one implementation of this rule; an empty
-    window i raises PreconditionViolation.
+    side of window j; default to the complement side on exhaustion, where
+    both sides hold members, so no natural fuel chooses an empty side.  The
+    tuples are read as int bitmasks, on which `select_side_mask` is the one
+    implementation of this rule; an empty window i raises
+    PreconditionViolation.
     """
     return select_side_mask(window_mask(wi), window_mask(wj),
                             min(len(wi), len(wj)), fuel)
