@@ -158,7 +158,7 @@ def select_color(t: Transcript, horizon: int) -> int:
 def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
     """Run the construction; returns (Transcript, (color, B prefix))."""
     if d.k < 1:
-        raise MalformedInstanceError("a partition into 0 parts has no part")
+        raise MalformedInstanceError(f"{d.k} parts: no part to select")
     window = min((config or D2Config()).window, d.bound)
     state = State(start(window, parts=d.k))
     part_of = tuple(d.limit_part(z) for z in range(window))
