@@ -382,9 +382,6 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
 
     F is sorted once per search.  When the reservoir increases from above
     F's maximum, as in every run, each F ∪ D is that sorted F followed by D.
-    A query-free program halts with a given fuel exactly when the fuel
-    reaches the step at which the largest fuel's run halted, so candidates
-    whose fuel falls short of it are passed over unasked.
     """
     record = {
         "subset_width": min(subset_width, len(reservoir)),
@@ -398,13 +395,10 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
         return (base + added if above
                 else tuple(sorted(set(base).union(added))))
 
-    steps = 1  # a candidate whose fuel falls short of this cannot halt
     if not queries_oracle(e):
         record["query_free"] = True
-        top = bounded_halt(e, oracle(tuple(reservoir[-1:])))
-        if top.tag != HALTED:
+        if bounded_halt(e, oracle(tuple(reservoir[-1:]))).tag != HALTED:
             return None, record
-        steps = top.steps
         candidates = chain([()], ((z,) for z in reservoir))
     else:
         width = record["subset_width"]
@@ -412,8 +406,6 @@ def find_halt_witness(e, F, reservoir, subset_width: int = SUBSET_WIDTH,
                            ((z,) for z in reservoir[width:]))
     for added in candidates:
         s = oracle(added)
-        if (s[-1] + 1 if s else 1) < steps:
-            continue
         if extra_filter is None or extra_filter(s):
             out = bounded_halt(e, s)
             if out.tag == HALTED:

@@ -68,14 +68,9 @@ def rt2_pipeline(c: Coloring, stages: int):
     if not stable_cols:
         raise PipelineInconclusive(
             "no committed column reached stability on the window")
-    part_of = tuple(sides[x] for x in stable_cols)
     induced = Delta2Partition(
-        k=2,
-        table=tuple((p,) for p in part_of),
-        bound=len(stable_cols),
-        promised_bound=0,
-        declared_limits=part_of,
-    )
+        k=2, table=tuple((sides[x],) for x in stable_cols),
+        bound=len(stable_cols), promised_bound=0)
     t_d2, (color, b) = run_d2(induced, D2_STAGES,
                               D2Config(window=len(stable_cols)))
     h = sorted(stable_cols[j] for j in b)

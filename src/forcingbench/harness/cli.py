@@ -31,6 +31,7 @@ from .instances import (
     dump_instance,
     load_instance,
     partition_to_doc,
+    tree_to_doc,
 )
 from .oracles import brute_oracle
 from .transcripts import emit_transcript, load_transcript, transcript_hash
@@ -51,7 +52,7 @@ def _finish(t, extracted, instance, args) -> int:
     else:
         print(f"transcript sha256 {transcript_hash(t)}")
     print(f"extracted: {extracted}")
-    report = verify_transcript(t, audit_fuel=args.audit_fuel, instance=instance)
+    report = verify_transcript(t, instance=instance)
     for grade in ("certified", "provisional", "refuted"):
         print(f"{grade}: {report.counts[grade]}")
     return _exit_code(report)
@@ -105,8 +106,7 @@ def _cmd_verify(args) -> int:
     instance = None
     if args.instance:
         instance = load_instance(args.instance).payload
-    report = verify_transcript(t, audit_fuel=args.audit_fuel,
-                               instance=instance)
+    report = verify_transcript(t, instance=instance)
     for f in report.findings:
         if f["grade"] != "certified" or args.verbose:
             where = "" if f["stage"] is None else f" stage {f['stage']}"
@@ -138,10 +138,7 @@ def _cmd_gen(args) -> int:
     elif args.what == "d2-partition":
         doc = partition_to_doc(gen_d2_partition(args.seed))
     else:
-        tree = gen_table_tree(args.seed, depth=args.depth)
-        doc = {"kind": "Tree",
-               "levels": [[list(n) for n in sorted(lv)]
-                          for lv in tree.levels]}
+        doc = tree_to_doc(gen_table_tree(args.seed, depth=args.depth))
     doc["seed"] = args.seed
     text = dump_instance(doc)
     if args.out:
@@ -156,7 +153,6 @@ def _cmd_gen(args) -> int:
 def _add_run_common(p):
     p.add_argument("instance")
     p.add_argument("--stages", type=int, default=60)
-    p.add_argument("--audit-fuel", type=int, default=2)
     p.add_argument("--out", default=None, help="transcript destination")
 
 
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-audit a stored transcript")
     p.add_argument("transcript")
     p.add_argument("--instance", default=None)
-    p.add_argument("--audit-fuel", type=int, default=2)
     p.add_argument("--expect-hash", default=None)
     p.set_defaults(fn=_cmd_verify)
 

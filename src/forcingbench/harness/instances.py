@@ -171,5 +171,10 @@ def partition_to_doc(d: Delta2Partition) -> Dict:
     return doc
 
 
+def tree_to_doc(tree: TableTree) -> Dict:
+    return {"kind": "Tree",
+            "levels": [[list(n) for n in sorted(lv)] for lv in tree.levels]}
+
+
 def dump_instance(doc: Dict) -> str:
     return yaml.safe_dump(doc, sort_keys=True)
