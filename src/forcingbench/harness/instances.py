@@ -51,6 +51,8 @@ def _coloring_from(doc: Dict, require_bound: bool) -> Coloring:
     _require(not (require_bound and declared is None),
              "stable coloring requires declared_bound")
     limits = doc.get("declared_limits")
+    _require(limits is None or len(limits) == bound,
+             f"declared_limits has {len(limits or ())} entries, bound {bound}")
     c = Coloring(k=k, table=tuple(rows), bound=bound,
                  declared_bound=None if declared is None else int(declared),
                  declared_limits=None if limits is None else tuple(limits))
@@ -79,12 +81,15 @@ def _partition_from(doc: Dict) -> Delta2Partition:
     _require(len(table) == bound, f"table has {len(table)} rows, bound {bound}")
     promised = doc.get("promised_bound")
     limits = doc.get("declared_limits")
+    _require(limits is None or len(limits) == bound,
+             f"declared_limits has {len(limits or ())} entries, bound {bound}")
     d = Delta2Partition(
         k=k, table=table, bound=bound,
         promised_bound=None if promised is None else int(promised),
         declared_limits=None if limits is None else tuple(limits),
     )
     for n in range(bound):
+        _require(len(table[n]) > 0, f"row {n} of the table is empty")
         for s in range(len(table[n])):
             _require(0 <= table[n][s] < k,
                      f"part value {table[n][s]} out of range at ({n},{s})")
@@ -135,14 +140,17 @@ def parse_instance(source: str) -> Instance:
     _require(isinstance(doc, dict), "instance must be a mapping")
     kind = doc.get("kind")
     _require(kind in KINDS, f"unknown instance kind {kind!r}")
-    if kind in ("Coloring", "StableColoring"):
-        payload = _coloring_from(doc, require_bound=kind == "StableColoring")
-    elif kind == "Delta2Partition":
-        payload = _partition_from(doc)
-    elif kind == "RFamily":
-        payload = _family_from(doc)
-    else:
-        payload = _tree_from(doc)
+    try:
+        if kind in ("Coloring", "StableColoring"):
+            payload = _coloring_from(doc, kind == "StableColoring")
+        elif kind == "Delta2Partition":
+            payload = _partition_from(doc)
+        elif kind == "RFamily":
+            payload = _family_from(doc)
+        else:
+            payload = _tree_from(doc)
+    except KeyError as exc:  # a field the kind needs is absent
+        raise MalformedInstanceError(f"missing field {exc}") from exc
     return Instance(kind=kind, payload=payload)
 
 

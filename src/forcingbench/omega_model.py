@@ -329,6 +329,8 @@ def select_side_mask(wi: int, wj: int, bound: int,
     member of window i on each side of window j decides where the tail
     search stops, so the counts and the search are read off the two sides'
     masks with `int.bit_count` and `int.bit_length`."""
+    if fuel is not None and fuel < 0:
+        raise PreconditionViolation(f"negative fuel {fuel}")
     wi &= (1 << bound) - 1
     if not wi:
         raise PreconditionViolation("window i empty")
@@ -357,6 +359,8 @@ def select_part_mask(wi: int, bound: int, parts: Sequence[Tuple[int, int]],
     """
     if not parts:
         raise PreconditionViolation("empty partition")
+    if fuel is not None and fuel < 0:
+        raise PreconditionViolation(f"negative fuel {fuel}")
     cur = wi & ((1 << bound) - 1)
     outcomes: List[SelectOutcome] = []
     for t, (p, length) in enumerate(parts):
@@ -381,8 +385,8 @@ def select_side(wi: Tuple[int, ...], wj: Tuple[int, ...],
     side of window j; default to the complement side on exhaustion, where
     both sides hold members, so no natural fuel chooses an empty side.  The
     tuples are read as int bitmasks, on which `select_side_mask` is the one
-    implementation of this rule; an empty window i raises
-    PreconditionViolation.
+    implementation of this rule; an empty window i or a negative fuel
+    raises PreconditionViolation.
     """
     return select_side_mask(window_mask(wi), window_mask(wj),
                             min(len(wi), len(wj)), fuel)
