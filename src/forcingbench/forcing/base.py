@@ -650,9 +650,13 @@ def condition_dict(cond) -> Dict:
 
 
 def canonical_json(obj) -> str:
-    """The canonical byte form: sorted keys, no whitespace, ASCII only."""
+    """The canonical byte form: sorted keys, no whitespace, ASCII only.
+
+    Nothing digested can be cyclic (a transcript is a tree that a run built
+    or JSON loaded, an instance is tuples of ints), so the encoder skips its
+    cycle check."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
+                      ensure_ascii=True, check_circular=False)
 
 
 def digest(payload) -> str:

@@ -5,11 +5,18 @@ its own ground truth (limit tables, stabilization bounds), so exactness
 checks against generated instances need no search.  Declared bounds are
 honored by construction and re-audited by the instance loader.  The module
 constants fix what no caller varies; no seed string names them.
+
+Each run of ``rng.randrange(k)`` calls is drawn in bulk by ``_draws``, which
+yields the same values and leaves the generator in the same state as the
+calls would, so an instance is the same for its seed whichever way it is
+drawn.  The ``randrange(2, ...)`` draws of a bound, ``gen_program_pairs``
+(two ranges in turn) and ``gen_table_tree`` (``random()``) draw one at a time.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice, repeat
 from typing import List, Tuple
 
 from ..approx import Coloring, Delta2Presentation
@@ -22,16 +29,29 @@ INDEX_BOUND, INPUT_BOUND = 1 << 16, 64  # gen_program_pairs' ranges
 KEEP = 0.8  # the chance that gen_table_tree keeps each child
 
 
+def _draws(rng: random.Random, k: int, n: int) -> List[int]:
+    """n values of ``rng.randrange(k)``, drawn as CPython draws them: the bit
+    length of k in random bits, drawn again while the value is k or more.
+    A round draws no more values than are still needed, so the state ends
+    where n calls would leave it."""
+    if k < 1 and n > 0:
+        raise ValueError(f"empty range for randrange({k})")
+    bits, out = k.bit_length(), []
+    while len(out) < n:
+        out += [v for v in map(rng.getrandbits, repeat(bits, n - len(out)))
+                if v < k]
+    return out
+
+
 def gen_delta2(seed: int) -> Tuple[Delta2Presentation, Tuple[int, ...]]:
     """A 0/1 limit approximation plus its ground-truth limit row."""
     rng = random.Random(("delta2", seed).__repr__())
     bound = rng.randrange(2, BOUND_MAX + 1)
-    limits = tuple(rng.randrange(2) for _ in range(N_RANGE))
-    table = []
-    for n in range(N_RANGE):
-        noise = [rng.randrange(2) for _ in range(bound)]
-        table.append(tuple(noise) + (limits[n],) * (COLUMNS - bound))
-    return Delta2Presentation(table=tuple(table), promised_bound=bound), limits
+    limits = tuple(_draws(rng, 2, N_RANGE))
+    noise = iter(_draws(rng, 2, N_RANGE * bound))
+    table = tuple(tuple(islice(noise, bound)) + (limits[n],) * (COLUMNS - bound)
+                  for n in range(N_RANGE))
+    return Delta2Presentation(table=table, promised_bound=bound), limits
 
 
 def gen_stable_coloring(seed: int, k: int = 3, bound: int = 40) -> Coloring:
@@ -39,17 +59,12 @@ def gen_stable_coloring(seed: int, k: int = 3, bound: int = 40) -> Coloring:
     colors ride along as ground truth."""
     rng = random.Random(("stable-coloring", seed, k, bound).__repr__())
     stab = rng.randrange(2, STAB_MAX + 1)
-    limits = tuple(rng.randrange(k) for _ in range(bound))
-    table = []
-    for x in range(bound):
-        row = []
-        for y in range(x + 1, bound):
-            if y < stab:
-                row.append(rng.randrange(k))
-            else:
-                row.append(limits[x])
-        table.append(tuple(row))
-    return Coloring(k=k, table=tuple(table), bound=bound,
+    limits = tuple(_draws(rng, k, bound))
+    top = min(stab, bound)  # row x draws its colors at y < top
+    table = tuple(tuple(_draws(rng, k, top - x - 1))
+                  + (limits[x],) * (bound - max(top, x + 1))
+                  for x in range(bound))
+    return Coloring(k=k, table=table, bound=bound,
                     declared_bound=stab, declared_limits=limits)
 
 
@@ -57,21 +72,18 @@ def gen_d2_partition(seed: int, k: int = 2,
                      bound: int = 64) -> Delta2Partition:
     rng = random.Random(("d2-partition", seed, k, bound).__repr__())
     stab = rng.randrange(2, STAB_MAX + 1)
-    limits = tuple(rng.randrange(k) for _ in range(bound))
-    table = []
-    for n in range(bound):
-        row = [rng.randrange(k) for _ in range(stab)] + [limits[n]]
-        table.append(tuple(row))
-    return Delta2Partition(k=k, table=tuple(table), bound=bound,
+    limits = tuple(_draws(rng, k, bound))
+    noise = iter(_draws(rng, k, bound * stab))
+    table = tuple(tuple(islice(noise, stab)) + (limits[n],)
+                  for n in range(bound))
+    return Delta2Partition(k=k, table=table, bound=bound,
                            promised_bound=stab, declared_limits=limits)
 
 
 def gen_coloring(seed: int, k: int = 2, bound: int = 48) -> Coloring:
     rng = random.Random(("coloring", seed, k, bound).__repr__())
-    table = tuple(
-        tuple(rng.randrange(k) for _ in range(x + 1, bound))
-        for x in range(bound)
-    )
+    colors = iter(_draws(rng, k, bound * (bound - 1) // 2))
+    table = tuple(tuple(islice(colors, bound - x - 1)) for x in range(bound))
     return Coloring(k=k, table=table, bound=bound)
 
 

@@ -1,17 +1,19 @@
 """Instance files: a small YAML surface with explicit kind tags.
 
-Every payload is audited at load time: tables must be total on the
-declared domain and declared stabilization data must actually hold, with
-a counterexample in the error message when it does not.  Program payloads
-embed assembler text verbatim.
+Every payload is audited at load time: each field must have its type
+(integers, lists, mappings, program text), tables must be total on the
+declared domain, declared limits must be colors or parts below k, tree
+nodes must be 0/1 strings as long as their level, and declared
+stabilization data must actually hold, with the field or a counterexample
+in the error message when it does not.  Program payloads embed assembler
+text verbatim.  PyYAML is imported only by `parse_instance` and
+`dump_instance`, so a run that reads no instance file never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import yaml
+from typing import Dict, List, Optional, Tuple
 
 from ..approx import Coloring, MalformedInstanceError, SetPresentation
 from ..forcing.d2 import Delta2Partition
@@ -32,30 +34,60 @@ def _require(cond: bool, msg: str):
         raise MalformedInstanceError(msg)
 
 
+def _int(v, field: str) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInstanceError(
+            f"{field} must be an integer, not {type(v).__name__}") from None
+
+
+def _list(v, field: str) -> list:
+    _require(isinstance(v, (list, tuple)),
+             f"{field} must be a list, not {type(v).__name__}")
+    return v
+
+
+def _ints(v, field: str) -> Tuple[int, ...]:
+    # an element that is itself a list, as in a YAML alias cycle, is refused
+    return tuple(_int(x, f"an entry of {field}") for x in _list(v, field))
+
+
+def _limits(doc: Dict, k: int, bound: int) -> Optional[Tuple[int, ...]]:
+    """The declared limits, if any: one value below k for each of bound."""
+    if doc.get("declared_limits") is None:
+        return None
+    limits = _ints(doc["declared_limits"], "declared_limits")
+    _require(len(limits) == bound,
+             f"declared_limits has {len(limits)} entries, bound {bound}")
+    for i, v in enumerate(limits):
+        _require(0 <= v < k, f"declared limit {v} out of range at {i}")
+    return limits
+
+
 def _coloring_from(doc: Dict, require_bound: bool) -> Coloring:
-    k = int(doc["k"])
-    bound = int(doc["bound"])
-    table = doc["table"]
+    k = _int(doc["k"], "k")
+    bound = _int(doc["bound"], "bound")
+    table = _list(doc["table"], "table")
     _require(len(table) == bound, f"table has {len(table)} rows, bound {bound}")
     rows = []
     for x, row in enumerate(table):
+        row = _ints(row, f"table row {x}")
         _require(
             len(row) == bound - x - 1,
             f"row {x} has {len(row)} entries, expected {bound - x - 1}",
         )
         for j, v in enumerate(row):
-            _require(0 <= int(v) < k,
+            _require(0 <= v < k,
                      f"color {v} out of range at ({x}, {x + 1 + j})")
-        rows.append(tuple(int(v) for v in row))
+        rows.append(row)
     declared = doc.get("declared_bound")
     _require(not (require_bound and declared is None),
              "stable coloring requires declared_bound")
-    limits = doc.get("declared_limits")
-    _require(limits is None or len(limits) == bound,
-             f"declared_limits has {len(limits or ())} entries, bound {bound}")
     c = Coloring(k=k, table=tuple(rows), bound=bound,
-                 declared_bound=None if declared is None else int(declared),
-                 declared_limits=None if limits is None else tuple(limits))
+                 declared_bound=(None if declared is None
+                                 else _int(declared, "declared_bound")),
+                 declared_limits=_limits(doc, k, bound))
     if c.declared_bound is not None:
         for x in range(bound):
             base_y = max(c.declared_bound, x + 1)
@@ -75,18 +107,17 @@ def _coloring_from(doc: Dict, require_bound: bool) -> Coloring:
 
 
 def _partition_from(doc: Dict) -> Delta2Partition:
-    k = int(doc["k"])
-    bound = int(doc["bound"])
-    table = tuple(tuple(int(v) for v in row) for row in doc["table"])
+    k = _int(doc["k"], "k")
+    bound = _int(doc["bound"], "bound")
+    table = tuple(_ints(row, f"table row {n}")
+                  for n, row in enumerate(_list(doc["table"], "table")))
     _require(len(table) == bound, f"table has {len(table)} rows, bound {bound}")
     promised = doc.get("promised_bound")
-    limits = doc.get("declared_limits")
-    _require(limits is None or len(limits) == bound,
-             f"declared_limits has {len(limits or ())} entries, bound {bound}")
     d = Delta2Partition(
         k=k, table=table, bound=bound,
-        promised_bound=None if promised is None else int(promised),
-        declared_limits=None if limits is None else tuple(limits),
+        promised_bound=(None if promised is None
+                        else _int(promised, "promised_bound")),
+        declared_limits=_limits(doc, k, bound),
     )
     for n in range(bound):
         _require(len(table[n]) > 0, f"row {n} of the table is empty")
@@ -109,30 +140,45 @@ def _partition_from(doc: Dict) -> Delta2Partition:
 
 def _family_from(doc: Dict) -> List[SetPresentation]:
     fam = []
-    for entry in doc["sets"]:
+    for i, entry in enumerate(_list(doc["sets"], "sets")):
+        _require(isinstance(entry, dict),
+                 f"sets entry {i} must be a mapping, not {type(entry).__name__}")
         if "program" in entry:
+            _require(isinstance(entry["program"], str),
+                     f"program of sets entry {i} must be text")
             # the program itself: its index squares once per instruction
             fam.append(SetPresentation.from_program(
-                assemble(entry["program"]), int(entry["bound"]),
-                int(entry.get("budget", 512))))
+                assemble(entry["program"]), _int(entry["bound"], "bound"),
+                _int(entry.get("budget", 512), "budget")))
         elif "members" in entry:
             fam.append(SetPresentation.from_set(
-                [int(m) for m in entry["members"]], int(entry["bound"])))
+                _ints(entry["members"], "members"),
+                _int(entry["bound"], "bound")))
         else:
-            fam.append(SetPresentation.from_table(entry["bits"]))
+            fam.append(SetPresentation.from_table(_ints(entry["bits"], "bits")))
     return fam
 
 
 def _tree_from(doc: Dict):
     if "excluded" in doc:
         return ExcludedSubstringTree(tuple(
-            tuple(int(b) for b in pat) for pat in doc["excluded"]))
-    levels = [set(tuple(int(b) for b in node) for node in lv)
-              for lv in doc["levels"]]
+            _ints(pat, "excluded pattern")
+            for pat in _list(doc["excluded"], "excluded")))
+    levels = []
+    for i, lv in enumerate(_list(doc["levels"], "levels")):
+        nodes = [_ints(node, f"a node at level {i}")
+                 for node in _list(lv, f"level {i}")]
+        for node in nodes:
+            _require(len(node) == i and set(node) <= {0, 1},
+                     f"node {list(node)} at level {i} is not a 0/1 string "
+                     f"of length {i}")
+        levels.append(set(nodes))
     return TableTree.from_level_sets(levels)
 
 
 def parse_instance(source: str) -> Instance:
+    import yaml
+
     try:
         doc = yaml.safe_load(source)
     except yaml.YAMLError as exc:
@@ -185,4 +231,6 @@ def tree_to_doc(tree: TableTree) -> Dict:
 
 
 def dump_instance(doc: Dict) -> str:
+    import yaml
+
     return yaml.safe_dump(doc, sort_keys=True)
