@@ -35,15 +35,14 @@ def _require(cond: bool, msg: str):
 
 
 def _int(v, field: str) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedInstanceError(
-            f"{field} must be an integer, not {type(v).__name__}") from None
+    # YAML reads `2.5` as a float and `yes` as a bool; neither is an integer
+    _require(isinstance(v, int) and not isinstance(v, bool),
+             f"{field} must be an integer, not {type(v).__name__}")
+    return v
 
 
 def _list(v, field: str) -> list:
-    _require(isinstance(v, (list, tuple)),
+    _require(isinstance(v, list),
              f"{field} must be a list, not {type(v).__name__}")
     return v
 
@@ -145,7 +144,8 @@ def _family_from(doc: Dict) -> List[SetPresentation]:
                  f"sets entry {i} must be a mapping, not {type(entry).__name__}")
         if "program" in entry:
             _require(isinstance(entry["program"], str),
-                     f"program of sets entry {i} must be text")
+                     f"program must be text, not "
+                     f"{type(entry['program']).__name__}")
             # the program itself: its index squares once per instruction
             fam.append(SetPresentation.from_program(
                 assemble(entry["program"]), _int(entry["bound"], "bound"),
