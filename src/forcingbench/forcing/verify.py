@@ -1,9 +1,13 @@
 """Independent transcript audit.
 
 Everything here works from the transcript alone (plus the instance, when
-supplied): the construction code is never consulted.  Findings carry one
-of three grades: certified (re-checked and exact), provisional (true as
-far as a bounded re-check can see), refuted (contradicted by replay).
+supplied).  The one decision procedure it takes from the constructions is
+their witness search, `base.find_halt_witness`, which re-asks each
+negative decision; an instance fact is a `forcingbench.brute` checker's,
+and a halting claim replays through `base.bounded_halt`, the machine's
+semantics.  Findings carry one of three grades: certified (re-checked and
+exact), provisional (true as far as a bounded re-check can see), refuted
+(contradicted by replay).
 
 `_KINDS` is the one table of what each kind writes: its branches (coh's
 Case1, Case2, E-extension, D-restriction and abort, EM's and D2's Case1,
@@ -76,8 +80,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from ..brute import d2_part, fallow_violation, off_color_pairs
 from ..machine import HALTED
 from .base import (
     ABORT,
@@ -92,7 +98,6 @@ from .base import (
     committed_below,
     condition_sets,
     extends_sets,
-    fallow_check,
     family_digest,
     find_halt_witness,
     parse_label,
@@ -422,7 +427,8 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                                color if t.kind == "d2" else None)
     if fault is None and instance is not None:
         if t.kind == "d2" and color is not None:
-            off = [x for x in b if instance.limit_part(x) != color]
+            part = set(d2_part(instance, color))
+            off = [x for x in b if x not in part]
             if off:
                 report.add(REFUTED, f"elements outside the selected part: {off}")
                 refuted = True
@@ -430,20 +436,16 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(CERTIFIED,
                            f"extracted set inside part {color}")
         elif t.kind == "em":
-            fr = fallow_check(instance, b)
-            if fr.ok:
+            bad = fallow_violation(instance, b)
+            if bad is None:
                 report.add(CERTIFIED, f"extracted {len(b)}-element set fallow")
             else:
-                report.add(REFUTED, f"fallow violation {fr.violation}")
+                report.add(REFUTED, f"fallow violation {bad}")
                 refuted = True
         elif t.kind == "rt2":
-            hs = sorted(b)  # the coloring is read on pairs x < y
-            bad = [
-                (x, y) for i, x in enumerate(hs) for y in hs[i + 1:]
-                if instance.value(x, y) != color
-            ]
+            bad = list(islice(off_color_pairs(instance, b, color), 3))
             if bad:
-                report.add(REFUTED, f"extracted pairs off-color: {bad[:3]}")
+                report.add(REFUTED, f"extracted pairs off-color: {bad}")
             else:
                 report.add(CERTIFIED,
                            f"{len(b)}-element set monochromatic in color {color}")

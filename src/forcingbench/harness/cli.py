@@ -37,6 +37,13 @@ from .oracles import brute_oracle
 from .transcripts import emit_transcript, load_transcript, transcript_hash
 
 
+def _wrong_kind(command: str, needs: str, got: str) -> int:
+    article = "an" if needs == "RFamily" else "a"
+    print(f"{command} needs {article} {needs} instance, got {got}",
+          file=sys.stderr)
+    return 2
+
+
 def _exit_code(report) -> int:
     if report.counts["refuted"]:
         return 2
@@ -116,11 +123,26 @@ def _cmd_verify(args) -> int:
     return _exit_code(report)
 
 
+# the instance kinds each oracle reads (fallow and cohesive_check also
+# read --members)
+_ORACLES = {"homogeneous": ("Coloring", "StableColoring"),
+            "fallow": ("Coloring", "StableColoring"),
+            "d2_subset": ("Delta2Partition",), "cohesive_check": ("RFamily",)}
+
+
 def _cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    members = None if args.members is None else tuple(args.members)
+    kinds = _ORACLES[args.kind]
+    if inst.kind not in kinds:
+        return _wrong_kind(f"oracle {args.kind}", " or ".join(kinds),
+                           inst.kind)
+    if args.kind in ("fallow", "cohesive_check") and (
+            args.members is None or min(args.members, default=0) < 0):
+        print(f"oracle {args.kind} needs --members of naturals",
+              file=sys.stderr)
+        return 2
     rep = brute_oracle(args.kind, inst.payload, bound=args.bound,
-                       color=args.color, members=members)
+                       color=args.color, members=args.members)
     print(json.dumps({
         "kind": rep.kind, "method": rep.method, "size": rep.size,
         "optimum": rep.optimum,
@@ -203,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force reference answers")
-    p.add_argument("kind", choices=("homogeneous", "fallow", "d2_subset",
-                                    "cohesive_check"))
+    p.add_argument("kind", choices=tuple(_ORACLES))
     p.add_argument("instance")
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--color", type=int, default=0)
@@ -229,10 +250,7 @@ def main(argv=None) -> int:
             return args.fn(args)
         inst = load_instance(args.instance)
         if inst.kind != needs:
-            article = "an" if needs == "RFamily" else "a"
-            print(f"{args.command} needs {article} {needs} instance, "
-                  f"got {inst.kind}", file=sys.stderr)
-            return 2
+            return _wrong_kind(args.command, needs, inst.kind)
         return args.fn(args, inst.payload)
     except Exception as exc:  # surface a one-line diagnosis, not a traceback
         if args.verbose:

@@ -3,16 +3,22 @@
 These are deliberately independent of the staged constructions: direct
 enumeration and table lookups only, so their answers can be frozen into
 tests as ground truth.  Each search re-verifies its own witness before
-reporting it.
+reporting it.  The checkers of a fact about given members are
+`forcingbench.brute`'s, which the auditor calls too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..approx import Coloring, SetPresentation
-from ..forcing.d2 import Delta2Partition
+from ..approx import Coloring
+from ..brute import (
+    cohesive_exceptions,
+    d2_part,
+    fallow_violation,
+    monochromatic,
+)
 
 HOMOGENEOUS_CAP = 20
 
@@ -29,15 +35,6 @@ class OracleReport:
     optimum: Optional[int] = None
     witness: Optional[Tuple] = None
     detail: Dict = field(default_factory=dict)
-
-
-def monochromatic(c: Coloring, s) -> Optional[int]:
-    """The single color taken on all pairs of s, or None."""
-    elems = sorted(s)
-    colors = {c.value(x, y) for i, x in enumerate(elems) for y in elems[i + 1:]}
-    if len(colors) > 1:
-        return None
-    return colors.pop() if colors else 0
 
 
 def _max_homogeneous(c: Coloring, bound: int) -> Tuple[int, Tuple[int, ...]]:
@@ -66,49 +63,6 @@ def _max_homogeneous(c: Coloring, bound: int) -> Tuple[int, Tuple[int, ...]]:
     return len(best), tuple(best)
 
 
-def _fallow_violation(c: Coloring, members) -> Optional[Tuple[int, int, int]]:
-    elems = sorted(members)
-    for i, x in enumerate(elems):
-        for j in range(i + 1, len(elems)):
-            for l in range(j + 1, len(elems)):
-                y, z = elems[j], elems[l]
-                if c.value(x, z) not in (c.value(x, y), c.value(y, z)):
-                    return (x, y, z)
-    return None
-
-
-def _d2_subset(d: Delta2Partition, color: int) -> Tuple[int, ...]:
-    out = []
-    for n in range(d.bound):
-        row = d.table[n]
-        if d.promised_bound is not None:
-            s = min(d.promised_bound, len(row) - 1)
-        else:
-            s = len(row) - 1
-        if row[s] == color:
-            out.append(n)
-    return tuple(out)
-
-
-def _cohesive_exceptions(family: Sequence[SetPresentation], members) -> Dict:
-    """For each family set, the side C lands on and the straggler elements.
-
-    The side is whichever of R, complement(R) holds more of C; exceptions
-    are the members on the other side.
-    """
-    detail = {}
-    elems = sorted(members)
-    for idx, r in enumerate(family):
-        inside = [x for x in elems if x < r.window.bound and r.member(x)]
-        outside = [x for x in elems if x < r.window.bound and not r.member(x)]
-        if len(inside) >= len(outside):
-            side, exceptions = "set", outside
-        else:
-            side, exceptions = "complement", inside
-        detail[idx] = {"side": side, "exceptions": tuple(exceptions)}
-    return detail
-
-
 def brute_oracle(kind: str, instance, bound: Optional[int] = None,
                  color: int = 0, members=None) -> OracleReport:
     if kind == "homogeneous":
@@ -118,21 +72,21 @@ def brute_oracle(kind: str, instance, bound: Optional[int] = None,
         return OracleReport(kind=kind, method="branch-and-bound",
                             size=size, optimum=size, witness=witness)
     if kind == "fallow":
-        bad = _fallow_violation(instance, members)
+        bad = fallow_violation(instance, members)
         return OracleReport(kind=kind, method="triple-scan",
-                            size=len(list(members)), witness=bad,
+                            size=len(set(members)), witness=bad,
                             detail={"ok": bad is None})
     if kind == "d2_subset":
-        witness = _d2_subset(instance, color)
+        witness = d2_part(instance, color)
         method = ("promised-column" if instance.promised_bound is not None
                   else "tail-value")
         return OracleReport(kind=kind, method=method,
                             size=len(witness), witness=witness,
                             detail={"color": color})
     if kind == "cohesive_check":
-        detail = _cohesive_exceptions(instance, members)
+        detail = cohesive_exceptions(instance, members)
         worst = max((len(v["exceptions"]) for v in detail.values()), default=0)
         return OracleReport(kind=kind, method="two-sided-count",
-                            size=len(list(members)), optimum=worst,
+                            size=len(set(members)), optimum=worst,
                             detail=detail)
     raise ValueError(f"unknown oracle kind {kind!r}")
