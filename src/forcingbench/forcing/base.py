@@ -1,14 +1,12 @@
-"""Shared substrate and stage engine of the three set-construction engines.
+"""The construction the three set-construction engines share: the stage
+skeleton and the witness and partition searches.  The transcript format
+is `forcingbench.transcript` and the run trees are `machine`'s; the names
+of both that were read from this module are re-exported here.
 
-A condition is a pair (finite committed set, reservoir).  A reservoir is
-a plain sorted tuple of members of the run's window [0, window_bound);
-Case-2 side selection reads it and the partition's pieces as int
-bitmasks of the window (bit x for member x).  `I` numbers the reservoirs
-a run has installed: 0 for the initial window, one more at every step
-that installs a new reservoir.  This module builds every condition a run
-holds: `start` the first, `narrowed` and `committed` each later one, and
-only these two install a reservoir.  It also reads every requirement
-label (`parse_label`).
+Case-2 side selection reads a reservoir and the partition's pieces as int
+bitmasks of the window (bit x for member x).  This module builds every
+condition a run holds: `start` the first, `narrowed` and `committed` each
+later one, and only these two install a reservoir (and bump `I`).
 
 "Infinite" always means: the window density witness meets a configured
 count beyond the committed maximum.  Every acceptance of that surrogate is
@@ -35,59 +33,23 @@ taken, so every stage meets a requirement.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..machine import (EMPTY_WINDOW, HALTED, OP_QRY, OUT_OF_FUEL, Machine,
-                       OracleWindow, RunOutcome, decode_program)
+from ..machine import (  # noqa: F401  (re-exports)
+    HALTED, RUN_TREE_CAP, _RunTree, _run_tree, bounded_halt, finite_oracle,
+    queries_oracle, query_free_status)
+from ..transcript import (  # noqa: F401  (re-exports)
+    ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION, SKIP, CohCondition,
+    D2Condition, StageRecord, Transcript, condition_dict, digest, extends,
+    parse_label)
 from ..approx import Coloring, ColorLimit, settles_at, stable_color_limit
 from ..omega_model import select_part_mask, set_mask
 
-CASE1 = "Case1"
-CASE2 = "Case2"
-E_EXTENSION = "E-extension"
-D_RESTRICTION = "D-restriction"
-ABORT = "abort"
-SKIP = "skip"  # no run writes it: every stage meets a requirement
-
 SUBSET_WIDTH = 8  # reservoir members whose subsets a witness search tries
 PARTITION_CAP = 3 ** 9  # visits of one bad-partition search
-
-
-def committed_below(committed, reservoir) -> bool:
-    """The condition invariant: every committed member lies below every
-    reservoir member."""
-    return not committed or not reservoir or max(committed) < min(reservoir)
-
-
-@dataclass(frozen=True)
-class CohCondition:
-    F: Tuple[int, ...]
-    I: int  # number of reservoirs installed before this one in the run
-    reservoir: Tuple[int, ...]  # sorted members inside the window
-    window_bound: int
-
-    def valid(self) -> bool:
-        return committed_below(self.F, self.reservoir)
-
-
-@dataclass(frozen=True)
-class D2Condition:
-    F_parts: Tuple[Tuple[int, ...], ...]
-    I: int
-    reservoir: Tuple[int, ...]
-    window_bound: int
-
-    def valid(self) -> bool:
-        return all(committed_below(part, self.reservoir)
-                   for part in self.F_parts)
 
 
 def start(window: int, parts: Optional[int] = None):
@@ -125,62 +87,6 @@ def committed(cond, members, part: Optional[int] = None, floor: int = 0):
                       cond.window_bound)
 
 
-_LABEL = re.compile(r"(D|E\+?|R|N)_(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?")
-
-
-def parse_label(label) -> Optional[Tuple[str, int, Optional[int]]]:
-    """(kind, index, color) of a requirement label such as "D_3", "E+_2",
-    "R_5" or, for D2, "N_5^1"; color is None without "^".  None for
-    anything else, which no schedule gives out."""
-    return _read_label(label) if isinstance(label, str) else None
-
-
-@lru_cache(maxsize=4096)  # the same few labels recur in every run and audit
-def _read_label(label: str):
-    m = _LABEL.fullmatch(label)
-    if m is None:
-        return None
-    kind, index, color = m.groups()
-    return kind, int(index), None if color is None else int(color)
-
-
-def condition_sets(d: Dict, parts: bool):
-    """What the extension order compares of a condition in its transcript
-    form (`condition_dict`): its window bound, committed set, reservoir set
-    and, with `parts` (D2), each committed part's set, else None."""
-    if parts:
-        part_sets = tuple(set(p) for p in d["F_parts"])
-        committed = set().union(*part_sets)
-    else:
-        part_sets, committed = None, set(d["F"])
-    return d["window_bound"], committed, set(d["reservoir"]), part_sets
-
-
-def extends_sets(p, q, report: Optional[List[str]] = None) -> bool:
-    """The extension order on `condition_sets`: committed set grew only
-    inside q's reservoir, part by part, and the reservoir shrank.
-    Incomparable windows are reported and treated false."""
-    wp, fp, rp, parts_p = p
-    wq, fq, rq, parts_q = q
-    if wp != wq:
-        if report is not None:
-            report.append(f"incomparable windows ({wp} vs {wq})")
-        return False
-    if not (fp >= fq and fp - fq <= rq and rp <= rq):
-        return False
-    # per-part growth must respect part identity
-    return parts_p is None or all(a >= b for a, b in zip(parts_p, parts_q))
-
-
-def extends(p, q, report: Optional[List[str]] = None) -> bool:
-    """Extension order of conditions of one kind (see `extends_sets`)."""
-    if type(p) is not type(q):
-        raise TypeError("conditions of different kinds are incomparable")
-    parts = isinstance(p, D2Condition)
-    return extends_sets(condition_sets(condition_dict(p), parts),
-                        condition_sets(condition_dict(q), parts), report)
-
-
 @dataclass(frozen=True)
 class FallowReport:
     ok: bool
@@ -214,133 +120,6 @@ def fallow_check(c: Coloring, s) -> FallowReport:
                 if xz != xy and xz != to_y[d]:
                     return FallowReport(False, (elems[a], elems[b], elems[d]))
     return FallowReport(True)
-
-
-def finite_oracle(members) -> OracleWindow:
-    """Characteristic window of a finite set, bounded just past its max.
-    Negative members are skipped: a forged transcript may hold them."""
-    if not members:
-        return OracleWindow((0,))
-    bits = [0] * (max(members) + 1)
-    for n in members:
-        if n >= 0:
-            bits[n] = 1
-    return OracleWindow(tuple(bits))
-
-
-# nodes a program's run tree may hold: a question that finds the tree at
-# the cap drops it and grows it again, so memory stays bounded when a
-# looping query program is asked about many distinct sets (one question
-# adds at most one node per unit of its fuel)
-RUN_TREE_CAP = 64
-
-
-class _Node:
-    """One segment of a run: `machine` runs with no oracle from its
-    parent's query to its own first one, and `low` and `high` go on past
-    that query with answer 0 and 1.  `stopped` keeps the outcome of a
-    halted or starved segment."""
-
-    __slots__ = ("machine", "low", "high", "stopped")
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self.low = self.high = self.stopped = None
-
-
-class _RunTree:
-    """Program e's run on input e, split at its oracle queries: by the use
-    principle an outcome depends only on the fuel and on the answers to
-    the queries the run makes, and each path from the root is one such
-    sequence of answers."""
-
-    __slots__ = ("e", "program", "queries", "root", "nodes")
-
-    def __init__(self, e: int):
-        self.e = e
-        self.program = decode_program(e)
-        self.queries = any(ins.op == OP_QRY for ins in self.program.code)
-        self.root, self.nodes = None, 0
-
-    def outcome(self, fuel: int, members) -> RunOutcome:
-        """The outcome of `run_program(e, e, w, fuel)` for the window w of
-        bound `fuel` that holds `members`.  Each node's machine runs on
-        only as far as the largest fuel asked of it; a query below the
-        bound takes the branch of its bit, one at or above it starves."""
-        if fuel < 1:
-            raise ValueError("fuel must be >= 1")
-        if self.root is None or self.nodes >= RUN_TREE_CAP:
-            self.root = _Node(Machine(self.program, self.e, EMPTY_WINDOW))
-            self.nodes = 1
-        node = self.root
-        while True:
-            m = node.machine
-            if m.steps < fuel and m.outcome_tag is None:
-                m.run(fuel - m.steps)
-            if m.outcome_tag is None or m.steps > fuel:
-                return _out_of_fuel(fuel, m.max_query + 1)
-            q = m.missing
-            if q is None or q >= fuel:  # halted, or starved past the bound
-                if node.stopped is None:
-                    node.stopped = m.outcome()
-                return node.stopped
-            if q in members:
-                if node.high is None:
-                    node.high = _Node(m.answered(1))
-                    self.nodes += 1
-                node = node.high
-            else:
-                if node.low is None:
-                    node.low = _Node(m.answered(0))
-                    self.nodes += 1
-                node = node.low
-
-
-@lru_cache(maxsize=4096)
-def _out_of_fuel(fuel: int, use: int) -> RunOutcome:
-    return RunOutcome(OUT_OF_FUEL, steps=fuel, use=use)
-
-
-@lru_cache(maxsize=4096)  # the bound of `decode_program`'s cache
-def _run_tree(e: int) -> _RunTree:
-    return _RunTree(e)
-
-
-def bounded_halt(e: int, members):
-    """Self-halting of program e with a finite-set oracle, fuel tied to the
-    set's maximum: the use and step count both stay below the bound, so the
-    outcome is preserved by any end-extension of the set.
-
-    The answer is `run_program(e, e, finite_oracle(members), fuel)` for
-    fuel the window's bound, read off program e's run tree, which this
-    process keeps: one run with no oracle, split at each query into the
-    two answers, so a question interprets only the steps that no earlier
-    question on the tree did.  The walk takes the bit `q in members` at
-    each query q below the bound, so negative members are skipped as
-    `finite_oracle` skips them, and a set of negative members only has a
-    bound, and fuel, below 1."""
-    return _run_tree(e).outcome(max(members) + 1 if members else 1, members)
-
-
-def queries_oracle(e: int) -> bool:
-    """Whether the program text contains the oracle-query opcode at all;
-    query-free programs halt independently of the committed set (only the
-    fuel bound matters)."""
-    return _run_tree(e).queries
-
-
-def query_free_status(e: int, fuel_cap: int):
-    """("halts", step) / ("diverges", cap) for query-free programs, else
-    ("queries",).  A query-free program's bounded self-halting depends only
-    on the fuel bound, which our convention ties to the oracle maximum.
-    Read off the root of e's run tree, which such a program never leaves."""
-    tree = _run_tree(e)
-    if tree.queries:
-        return ("queries",)
-    out = tree.outcome(fuel_cap, ())
-    if out.tag == HALTED:
-        return ("halts", out.steps)
-    return ("diverges", fuel_cap)
 
 
 class HaltWitness(NamedTuple):
@@ -556,131 +335,6 @@ def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
         if max(column) < c.k:
             return x + 1 + settles_at(column.__getitem__, 0, top - x - 1)
     return settles_at(lambda y: c.value(x, y), x + 1, top)
-
-
-@dataclass
-class StageRecord:
-    stage: int
-    requirement: str
-    branch: str
-    condition: Optional[Dict]  # None: the condition of the stage before
-    certificates: Dict
-
-
-TRANSCRIPT_VERSION = 2
-
-
-class TranscriptFormatError(ValueError):
-    """A written transcript whose structure `Transcript.from_dict` cannot
-    read."""
-
-
-@dataclass
-class Transcript:
-    """A run's record.  In memory every stage holds its condition; the
-    written form (`to_dict`, format version 2) holds `null` for a condition
-    equal to the last one written, and `from_dict` keeps that None."""
-
-    kind: str
-    instance_hash: str
-    config: Dict
-    stages: List[StageRecord] = field(default_factory=list)
-    extraction: Dict = field(default_factory=dict)
-    audits: List[Dict] = field(default_factory=list)
-    version: int = TRANSCRIPT_VERSION
-
-    def to_dict(self) -> Dict:
-        stages, last = [], None
-        for s in self.stages:
-            d = {"stage": s.stage, "requirement": s.requirement,
-                 "branch": s.branch, "condition": s.condition,
-                 "certificates": s.certificates}
-            if s.condition is not None:
-                if s.condition == last:
-                    d["condition"] = None
-                last = s.condition
-            stages.append(d)
-        return {**vars(self), "stages": stages}
-
-    @staticmethod
-    def from_dict(d) -> "Transcript":
-        """The one reader of a written transcript's structure: an object
-        with every field, format version 2, `config` and `extraction`
-        objects, and `stages` a list of objects with every `StageRecord`
-        field.  Anything else raises TranscriptFormatError; what the fields
-        hold is the auditor's to check."""
-        if not isinstance(d, dict):
-            raise TranscriptFormatError("top level must be an object")
-        names = [f.name for f in fields(Transcript)]
-        missing = [k for k in names if k not in d]
-        if missing:
-            raise TranscriptFormatError(
-                f"missing fields: {', '.join(missing)}")
-        if d["version"] != TRANSCRIPT_VERSION:
-            raise TranscriptFormatError(
-                f"transcript format version {d['version']!r} is not read "
-                f"here, only version {TRANSCRIPT_VERSION}; "
-                "tools/transcript_v1_to_v2.py converts a version 1 transcript")
-        for key in ("config", "extraction"):
-            if not isinstance(d[key], dict):
-                raise TranscriptFormatError(f"{key} must be an object")
-        if not isinstance(d["stages"], list):
-            raise TranscriptFormatError("stages must be a list")
-        read = itemgetter(*(f.name for f in fields(StageRecord)))
-        stages = []
-        for i, s in enumerate(d["stages"]):
-            if not isinstance(s, dict):
-                raise TranscriptFormatError(f"stage {i} is not an object")
-            try:
-                stages.append(StageRecord(*read(s)))
-            except KeyError as exc:  # the first field in order it lacks
-                raise TranscriptFormatError(
-                    f"stage {i} has no {exc.args[0]!r} field") from None
-        return Transcript(**{**{k: d[k] for k in names}, "stages": stages})
-
-
-def condition_dict(cond) -> Dict:
-    d = {"I": cond.I, "reservoir": list(cond.reservoir),
-         "window_bound": cond.window_bound}
-    if isinstance(cond, D2Condition):
-        d["F_parts"] = [list(p) for p in cond.F_parts]
-    else:
-        d["F"] = list(cond.F)
-    return d
-
-
-def canonical_json(obj) -> str:
-    """The canonical byte form: sorted keys, no whitespace, ASCII only.
-
-    Nothing digested can be cyclic (a transcript is a tree that a run built
-    or JSON loaded, an instance is tuples of ints), so the encoder skips its
-    cycle check."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, check_circular=False)
-
-
-def digest(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
-
-
-# the digest of its instance a run writes as `instance_hash`: of a
-# coloring, of a `d2.Delta2Partition`, of a family of sets at a window
-def coloring_digest(c: Coloring) -> str:
-    return digest({
-        "k": c.k, "table": [list(r) for r in c.table or ()],
-        "bound": c.bound, "declared_bound": c.declared_bound,
-    })
-
-
-def partition_digest(d) -> str:
-    return digest({
-        "k": d.k, "table": [list(r) for r in d.table], "bound": d.bound,
-        "promised_bound": d.promised_bound,
-    })
-
-
-def family_digest(family, window: int) -> str:
-    return digest([list(r.window.bits[:window]) for r in family])
 
 
 @dataclass

@@ -18,21 +18,15 @@ from typing import Optional, Sequence
 from ..approx import SetPresentation
 from ..omega_model import (INTERSECT_SIDE, select_side_mask, set_mask,
                            window_mask)
+from ..transcript import (ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION,
+                          StageRecord, family_digest, parse_label)
 from .base import (
-    ABORT,
-    CASE1,
-    CASE2,
-    D_RESTRICTION,
-    E_EXTENSION,
     SUBSET_WIDTH,
-    StageRecord,
     State,
     committed,
-    family_digest,
     find_halt_witness,
     halt_cert,
     narrowed,
-    parse_label,
     run_stages,
     settle,
     start,

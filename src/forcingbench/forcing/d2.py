@@ -15,21 +15,17 @@ from itertools import count
 from typing import List, Optional, Tuple
 
 from ..approx import MalformedInstanceError
+from ..transcript import (CASE1, CASE2, StageRecord, Transcript, parse_label,
+                          partition_digest)
 from .base import (
-    CASE1,
-    CASE2,
     PARTITION_CAP,
     SUBSET_WIDTH,
-    StageRecord,
     State,
-    Transcript,
     committed,
     force_step,
     halt_cert,
     halt_compat,
     halt_search,
-    parse_label,
-    partition_digest,
     run_stages,
     start,
 )

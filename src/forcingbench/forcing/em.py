@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..approx import Coloring, MalformedInstanceError
+from ..transcript import StageRecord, coloring_digest
 from .base import (
     PARTITION_CAP,
     SUBSET_WIDTH,
-    StageRecord,
     State,
-    coloring_digest,
     color_rows,
     committed,
     fallow_check,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..approx import Coloring, MalformedInstanceError, SetPresentation
 from ..machine import OracleWindow
-from .base import Transcript, coloring_digest
+from ..transcript import Transcript, coloring_digest
 from .coh import CohConfig, run_coh
 from .d2 import D2Config, Delta2Partition, run_d2
 

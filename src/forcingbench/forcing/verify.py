@@ -84,8 +84,8 @@ from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..brute import d2_part, fallow_violation, off_color_pairs
-from ..machine import HALTED
-from .base import (
+from ..machine import HALTED, bounded_halt
+from ..transcript import (
     ABORT,
     CASE1,
     CASE2,
@@ -93,16 +93,15 @@ from .base import (
     E_EXTENSION,
     Transcript,
     TranscriptFormatError,
-    bounded_halt,
     coloring_digest,
     committed_below,
     condition_sets,
     extends_sets,
     family_digest,
-    find_halt_witness,
     parse_label,
     partition_digest,
 )
+from .base import find_halt_witness
 
 CERTIFIED = "certified"
 PROVISIONAL = "provisional"

@@ -30,9 +30,10 @@ and reports the same step count as stepping through it would.  A run
 without a window stops at its first query; `Machine.answered` goes on
 from there with a supplied bit, so one run per program, branched at its
 queries, answers a question about any oracle (by the use principle that
-`run_program` states).  `forcing.base.bounded_halt` answers every bounded
-halting question that way, from one such run tree per program kept for
-the life of the process; `run_program` runs from step 0 each time.
+`run_program` states).  The run trees live here too: `bounded_halt`
+answers every bounded halting question that way, from one such run tree
+per program kept for the life of the process; `run_program` runs from
+step 0 each time.
 """
 
 from __future__ import annotations
@@ -279,6 +280,133 @@ def fuel_sweep(e, x: int, oracle: OracleWindow, max_fuel: int):
         m.step()
         outcomes.append(m.outcome())
     return outcomes
+
+
+def finite_oracle(members) -> OracleWindow:
+    """Characteristic window of a finite set, bounded just past its max.
+    Negative members are skipped: a forged transcript may hold them."""
+    if not members:
+        return OracleWindow((0,))
+    bits = [0] * (max(members) + 1)
+    for n in members:
+        if n >= 0:
+            bits[n] = 1
+    return OracleWindow(tuple(bits))
+
+
+# nodes a program's run tree may hold: a question that finds the tree at
+# the cap drops it and grows it again, so memory stays bounded when a
+# looping query program is asked about many distinct sets (one question
+# adds at most one node per unit of its fuel)
+RUN_TREE_CAP = 64
+
+
+class _Node:
+    """One segment of a run: `machine` runs with no oracle from its
+    parent's query to its own first one, and `low` and `high` go on past
+    that query with answer 0 and 1.  `stopped` keeps the outcome of a
+    halted or starved segment."""
+
+    __slots__ = ("machine", "low", "high", "stopped")
+
+    def __init__(self, machine: Machine):
+        self.machine = machine
+        self.low = self.high = self.stopped = None
+
+
+class _RunTree:
+    """Program e's run on input e, split at its oracle queries: by the use
+    principle an outcome depends only on the fuel and on the answers to
+    the queries the run makes, and each path from the root is one such
+    sequence of answers."""
+
+    __slots__ = ("e", "program", "queries", "root", "nodes")
+
+    def __init__(self, e: int):
+        self.e = e
+        self.program = decode_program(e)
+        self.queries = any(ins.op == OP_QRY for ins in self.program.code)
+        self.root, self.nodes = None, 0
+
+    def outcome(self, fuel: int, members) -> RunOutcome:
+        """The outcome of `run_program(e, e, w, fuel)` for the window w of
+        bound `fuel` that holds `members`.  Each node's machine runs on
+        only as far as the largest fuel asked of it; a query below the
+        bound takes the branch of its bit, one at or above it starves."""
+        if fuel < 1:
+            raise ValueError("fuel must be >= 1")
+        if self.root is None or self.nodes >= RUN_TREE_CAP:
+            self.root = _Node(Machine(self.program, self.e, EMPTY_WINDOW))
+            self.nodes = 1
+        node = self.root
+        while True:
+            m = node.machine
+            if m.steps < fuel and m.outcome_tag is None:
+                m.run(fuel - m.steps)
+            if m.outcome_tag is None or m.steps > fuel:
+                return _out_of_fuel(fuel, m.max_query + 1)
+            q = m.missing
+            if q is None or q >= fuel:  # halted, or starved past the bound
+                if node.stopped is None:
+                    node.stopped = m.outcome()
+                return node.stopped
+            if q in members:
+                if node.high is None:
+                    node.high = _Node(m.answered(1))
+                    self.nodes += 1
+                node = node.high
+            else:
+                if node.low is None:
+                    node.low = _Node(m.answered(0))
+                    self.nodes += 1
+                node = node.low
+
+
+@lru_cache(maxsize=4096)
+def _out_of_fuel(fuel: int, use: int) -> RunOutcome:
+    return RunOutcome(OUT_OF_FUEL, steps=fuel, use=use)
+
+
+@lru_cache(maxsize=4096)  # the bound of `decode_program`'s cache
+def _run_tree(e: int) -> _RunTree:
+    return _RunTree(e)
+
+
+def bounded_halt(e: int, members):
+    """Self-halting of program e with a finite-set oracle, fuel tied to the
+    set's maximum: the use and step count both stay below the bound, so the
+    outcome is preserved by any end-extension of the set.
+
+    The answer is `run_program(e, e, finite_oracle(members), fuel)` for
+    fuel the window's bound, read off program e's run tree, which this
+    process keeps: one run with no oracle, split at each query into the
+    two answers, so a question interprets only the steps that no earlier
+    question on the tree did.  The walk takes the bit `q in members` at
+    each query q below the bound, so negative members are skipped as
+    `finite_oracle` skips them, and a set of negative members only has a
+    bound, and fuel, below 1."""
+    return _run_tree(e).outcome(max(members) + 1 if members else 1, members)
+
+
+def queries_oracle(e: int) -> bool:
+    """Whether the program text contains the oracle-query opcode at all;
+    query-free programs halt independently of the committed set (only the
+    fuel bound matters)."""
+    return _run_tree(e).queries
+
+
+def query_free_status(e: int, fuel_cap: int):
+    """("halts", step) / ("diverges", cap) for query-free programs, else
+    ("queries",).  A query-free program's bounded self-halting depends only
+    on the fuel bound, which our convention ties to the oracle maximum.
+    Read off the root of e's run tree, which such a program never leaves."""
+    tree = _run_tree(e)
+    if tree.queries:
+        return ("queries",)
+    out = tree.outcome(fuel_cap, ())
+    if out.tag == HALTED:
+        return ("halts", out.steps)
+    return ("diverges", fuel_cap)
 
 
 IN = "in"
