@@ -41,6 +41,12 @@ def fallow_violation(c: Coloring, members) -> Optional[Tuple[int, int, int]]:
     return None
 
 
+def domain_bound(instance) -> Optional[int]:
+    """The bound below which a coloring or a `Delta2Partition` has values,
+    which no run's window passes; None for a family of sets."""
+    return getattr(instance, "bound", None)
+
+
 def d2_part(d, color: int) -> Tuple[int, ...]:
     """The n below a `Delta2Partition`'s bound whose row reads `color` at
     the promised stabilization stage, or at its last when none is promised."""

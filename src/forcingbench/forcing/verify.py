@@ -1,13 +1,14 @@
 """Independent transcript audit.
 
 Everything here works from the transcript alone (plus the instance, when
-supplied).  The one decision procedure it takes from the constructions is
-their witness search, `base.find_halt_witness`, which re-asks each
-negative decision; an instance fact is a `forcingbench.brute` checker's,
-and a halting claim replays through `base.bounded_halt`, the machine's
-semantics.  Findings carry one of three grades: certified (re-checked and
-exact), provisional (true as far as a bounded re-check can see), refuted
-(contradicted by replay).
+supplied).  It reads the transcript through `forcingbench.transcript`,
+the format's leaf module; an instance fact is a `forcingbench.brute`
+checker's, and a halting claim replays through `machine.bounded_halt`, the
+machine's semantics.  The one decision procedure it takes from the
+constructions is their witness search, `base.find_halt_witness`, which
+re-asks each negative decision.  Findings carry one of three grades:
+certified (re-checked and exact), provisional (true as far as a bounded
+re-check can see), refuted (contradicted by replay).
 
 `_KINDS` is the one table of what each kind writes: its branches (coh's
 Case1, Case2, E-extension, D-restriction and abort, EM's and D2's Case1,
@@ -27,7 +28,10 @@ makes these passes, in this order of findings:
   (None) is the one before it: transcript format version 2 writes a
   condition out only when it differs from the last one written.  A `null`
   at the first record read repeats nothing and is refuted.  Every kind
-  but RT2 gets a certified finding for the chain;
+  but RT2 gets a certified finding for the chain.  The pass also keeps
+  the condition in effect before each record read: the start condition
+  of the window before the first, and none after a record it did not
+  read;
 - for RT2, the audits of its nested coh and D2 transcripts, each read by
   `Transcript.from_dict`; one it cannot read, or whose kind is not its
   slot's name, is one refuted finding;
@@ -39,7 +43,9 @@ makes these passes, in this order of findings:
 - with the instance: `instance_hash` is the digest a run of the
   transcript's kind writes of it (coh's family digest taken at the window
   read above); if it is not, or the kind is one no run writes, it is
-  refuted, and no later check reads the instance;
+  refuted, and no later check reads the instance.  A window past the
+  bound of the coloring or partition (`brute.domain_bound`), which no
+  run's window passes, is refuted, and the audit reads the bound;
 - the extracted set (`B` for a kind no run writes) is a list of
   distinct naturals below the window; if it is not, it is refuted here,
   and neither the ledger nor the instance checks read it;
@@ -49,8 +55,16 @@ makes these passes, in this order of findings:
   every Case-2 decision whose committed set and pool are lists of
   distinct naturals below the window, and whose recorded subset width
   lies within the run's, survives a wider witness search, and any other
-  is refuted, as is a decided requirement whose name `base.parse_label`
-  cannot read;
+  is refuted, as is a decided requirement whose name `parse_label`
+  cannot read.  Each Case-2 and coh D-restriction record restates sets of
+  the condition in effect before it: `F_at_decision` its committed set
+  (D2's part of the record's color), and a Case-2
+  `reservoir_at_decision` its reservoir, inside which D2's
+  `pool_at_decision` lies, and which it is the members of in the part
+  (`brute.d2_part`) with the instance.  A wrong restatement refutes the
+  record, after the ledger and the instance checks, unless one of them,
+  the chain or the re-search already did: the re-search reads the
+  restated sets, which on every record left unrefuted are the chain's;
 - the jump ledger, over the decided R/N records the main pass hands it
   with their parsed names and replays: each positive's oracle is a prefix
   of the extracted set, and each negative stays divergent on it;
@@ -72,18 +86,19 @@ Each fact is computed once per call: a stage's condition sets once, in
 the record pass, which keeps only the last one's (a stage recording its
 predecessor's condition reuses its verdicts), and a
 certificate's replay once, which the ledger reuses.  Facts about programs
-are kept per process (`base.bounded_halt`'s run trees); nothing about a
-transcript is.
+are kept per process (`machine.bounded_halt`'s run trees); nothing about
+a transcript is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..brute import d2_part, fallow_violation, off_color_pairs
+from ..brute import d2_part, domain_bound, fallow_violation, off_color_pairs
 from ..machine import HALTED, bounded_halt
 from ..transcript import (
     ABORT,
@@ -143,18 +158,25 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
+# the condition in effect before a record that follows an unread one
+_UNREAD = "unread"
+
+
 def _check_chain(t: Transcript, report: AuditReport):
-    """The record pass (see the module docstring): the records read, and
-    the last condition read (None for none).  A condition is read into its
-    sets once; one that is None or repeats it keeps its verdicts, which
-    follow the refutations of unread records."""
+    """The record pass (see the module docstring): the records read, the
+    condition in effect before each (None for the start condition,
+    `_UNREAD` after a record whose condition was not read), and the last
+    condition read (None for none).  A condition is read into its sets
+    once; one that is None or repeats it keeps its verdicts, which follow
+    the refutations of unread records."""
     branches = _KINDS.get(t.kind if isinstance(t.kind, str) else None,
                           _NO_KIND).branches
     parts = t.kind == "d2"
-    records, verdicts = [], []
-    last = prev = valid = None
+    records, befores, verdicts = [], [], []
+    last = prev = valid = current = None
     for s, rec in enumerate(t.stages):
         fault = broken = None
+        before = current
         if rec.branch not in branches:
             fault = "branch is not one its kind writes"
         elif not isinstance(rec.certificates, dict):
@@ -175,6 +197,7 @@ def _check_chain(t: Transcript, report: AuditReport):
                 last, prev = rec.condition, sets
         if fault is not None:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
+            current = _UNREAD
             continue
         if not records and rec.condition is None:
             verdicts.append(("first stage repeats no earlier condition", rec))
@@ -182,12 +205,57 @@ def _check_chain(t: Transcript, report: AuditReport):
             verdicts.append(("committed set reaches into the reservoir", rec))
         if broken is not None:
             verdicts.append(("extension order violated: " + broken, rec))
+        if rec.condition is not None:
+            current = rec.condition
+        elif before is None:  # a null at the start repeats nothing
+            current = _UNREAD
         records.append(rec)
+        befores.append(before)
     for note, rec in verdicts:
         report.add(REFUTED, note, rec.stage, rec.requirement)
     if t.kind != "rt2":
         report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
-    return records, last
+    return records, befores, last
+
+
+def _restated_fault(rec, color, before, window: int, parts: bool,
+                    part=None) -> Optional[str]:
+    """What a Case-2 or D-restriction record restates wrongly of `before`,
+    the condition in effect before it (None: the start condition of the
+    window), or None.  `F_at_decision` is that condition's committed set,
+    for D2 its part `color`, and a Case-2 `reservoir_at_decision` its
+    reservoir.  D2's `pool_at_decision` lies inside that reservoir and, with
+    the instance, is the reservoir's members in `part(color)`."""
+    cert = rec.certificates
+    r = cert.get("reservoir_at_decision")
+    if before is None:  # nothing committed, and the whole window reserved
+        committed = []
+        same = (isinstance(r, list) and len(r) == window
+                and r == list(range(window)))
+    else:
+        try:
+            committed = before["F_parts"][color] if parts else before["F"]
+        except (IndexError, KeyError, TypeError):
+            return "restated committed set is no part of the condition's"
+        same = r == before["reservoir"]
+    if cert.get("F_at_decision") != committed:
+        return "restated committed set is not the condition's before it"
+    if rec.branch == D_RESTRICTION:
+        return None
+    if not same:
+        return "restated reservoir is not the condition's before it"
+    if not parts:
+        return None
+    pool = cert.get("pool_at_decision")
+    if part is not None:
+        members = part(color)
+        if pool != [z for z in r if z in members]:
+            return "negative decision's pool is not the reservoir's " \
+                "members in its part"
+    elif not (isinstance(pool, list) and set(map(type, pool)) <= {int}
+              and set(pool) <= set(r)):
+        return "negative decision's pool is not inside the reservoir"
+    return None
 
 
 def _tie_extraction(t: Transcript, last, b, report: AuditReport):
@@ -353,7 +421,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     kind = _KINDS.get(t.kind if isinstance(t.kind, str) else None, _NO_KIND)
     if kind is _NO_KIND:
         report.add(REFUTED, "kind is not one a run writes")
-    records, last = _check_chain(t, report)
+    records, befores, last = _check_chain(t, report)
     if t.kind == "rt2":
         for nested in ("coh", "d2"):
             try:
@@ -396,17 +464,30 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         if expected is None or t.instance_hash != expected:
             report.add(REFUTED, "instance_hash is not the instance's digest")
             instance = None  # the run did not read it: nothing to check
+    top = None if instance is None else domain_bound(instance)
+    if top is not None and window > top:
+        report.add(REFUTED, f"window reaches past the instance's bound {top}")
+        window = top
     # the ledger and the instance checks read the extracted set
     b = t.extraction.get(kind.extracted)
     fault = _set_fault(b, window, "extracted set")
     if fault is not None:
         report.add(REFUTED, fault)
 
+    # D2's part of each color asked about, read once from the instance
+    part = lru_cache(maxsize=None)(lambda i: set(d2_part(instance, i)))
     entries = []  # (record, parsed label, replay) of each decided R or N
-    for rec in records:
+    restated = []  # (fault, record) of each record restating a wrong set
+    for rec, before in zip(records, befores):
+        label = parse_label(rec.requirement)
+        if rec.branch in (CASE2, D_RESTRICTION) and before is not _UNREAD:
+            wrong = _restated_fault(
+                rec, None if label is None else label[2], before, window,
+                t.kind == "d2", None if instance is None else part)
+            if wrong is not None:
+                restated.append((wrong, rec))
         if rec.branch not in (CASE1, CASE2):
             continue
-        label = parse_label(rec.requirement)
         if label is None:
             report.add(REFUTED, "decided requirement's name is unreadable",
                        rec.stage, rec.requirement)
@@ -426,8 +507,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                                color if t.kind == "d2" else None)
     if fault is None and instance is not None:
         if t.kind == "d2" and color is not None:
-            part = set(d2_part(instance, color))
-            off = [x for x in b if x not in part]
+            off = [x for x in b if x not in part(color)]
             if off:
                 report.add(REFUTED, f"elements outside the selected part: {off}")
                 refuted = True
@@ -454,6 +534,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),
                            rec.stage, rec.requirement)
+    # a wrong restatement refutes a record that no other check refuted
+    hit = [(f["stage"], f["requirement"]) for f in report.findings
+           if restated and f["grade"] == REFUTED]
+    for wrong, rec in restated:
+        if (rec.stage, rec.requirement) not in hit:
+            report.add(REFUTED, wrong, rec.stage, rec.requirement)
     if t.kind in ("coh", "em", "d2"):
         _tie_extraction(t, last, None if refuted else b, report)
     return report

@@ -136,12 +136,18 @@ def _cmd_oracle(args) -> int:
     if inst.kind not in kinds:
         return _wrong_kind(f"oracle {args.kind}", " or ".join(kinds),
                            inst.kind)
+    p, needs = inst.payload, None
     if args.kind in ("fallow", "cohesive_check") and (
             args.members is None or min(args.members, default=0) < 0):
-        print(f"oracle {args.kind} needs --members of naturals",
-              file=sys.stderr)
+        needs = "--members of naturals"
+    elif args.kind == "fallow" and max(args.members, default=-1) >= p.bound:
+        needs = f"--members below the coloring's bound {p.bound}"
+    elif args.kind == "d2_subset" and not 0 <= args.color < p.k:
+        needs = f"--color from 0 to {p.k - 1}"
+    if needs is not None:
+        print(f"oracle {args.kind} needs {needs}", file=sys.stderr)
         return 2
-    rep = brute_oracle(args.kind, inst.payload, bound=args.bound,
+    rep = brute_oracle(args.kind, p, bound=args.bound,
                        color=args.color, members=args.members)
     print(json.dumps({
         "kind": rep.kind, "method": rep.method, "size": rep.size,
