@@ -475,18 +475,21 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
         report.add(REFUTED, fault)
 
     # D2's part of each color asked about, read once from the instance
-    part = lru_cache(maxsize=None)(lambda i: set(d2_part(instance, i)))
+    part = (lru_cache(maxsize=None)(lambda i: set(d2_part(instance, i)))
+            if t.kind == "d2" and instance is not None else None)
     entries = []  # (record, parsed label, replay) of each decided R or N
     restated = []  # (fault, record) of each record restating a wrong set
     for rec, before in zip(records, befores):
+        if rec.branch not in (CASE1, CASE2, D_RESTRICTION):
+            continue
         label = parse_label(rec.requirement)
-        if rec.branch in (CASE2, D_RESTRICTION) and before is not _UNREAD:
+        if rec.branch != CASE1 and before is not _UNREAD:
             wrong = _restated_fault(
                 rec, None if label is None else label[2], before, window,
-                t.kind == "d2", None if instance is None else part)
+                t.kind == "d2", part)
             if wrong is not None:
                 restated.append((wrong, rec))
-        if rec.branch not in (CASE1, CASE2):
+        if rec.branch == D_RESTRICTION:
             continue
         if label is None:
             report.add(REFUTED, "decided requirement's name is unreadable",
@@ -534,12 +537,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),
                            rec.stage, rec.requirement)
-    # a wrong restatement refutes a record that no other check refuted
-    hit = [(f["stage"], f["requirement"]) for f in report.findings
-           if restated and f["grade"] == REFUTED]
-    for wrong, rec in restated:
-        if (rec.stage, rec.requirement) not in hit:
-            report.add(REFUTED, wrong, rec.stage, rec.requirement)
+    if restated:  # refuting each record that no other check refuted
+        hit = [(f["stage"], f["requirement"]) for f in report.findings
+               if f["grade"] == REFUTED]
+        for wrong, rec in restated:
+            if (rec.stage, rec.requirement) not in hit:
+                report.add(REFUTED, wrong, rec.stage, rec.requirement)
     if t.kind in ("coh", "em", "d2"):
         _tie_extraction(t, last, None if refuted else b, report)
     return report
