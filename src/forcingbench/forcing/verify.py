@@ -60,11 +60,12 @@ makes these passes, in this order of findings:
   the condition in effect before it: `F_at_decision` its committed set
   (D2's part of the record's color), and a Case-2
   `reservoir_at_decision` its reservoir, inside which D2's
-  `pool_at_decision` lies, and which it is the members of in the part
-  (`brute.d2_part`) with the instance.  A wrong restatement refutes the
-  record, after the ledger and the instance checks, unless one of them,
-  the chain or the re-search already did: the re-search reads the
-  restated sets, which on every record left unrefuted are the chain's;
+  `pool_at_decision` lies; with the instance, that pool is the
+  reservoir's members in the part (`brute.d2_part`).  A wrong
+  restatement refutes the record, after the ledger and the instance
+  checks, unless the chain, the re-search or one of them already did:
+  the re-search reads the restated sets, which on every record left
+  unrefuted are the chain's;
 - the jump ledger, over the decided R/N records the main pass hands it
   with their parsed names and replays: each positive's oracle is a prefix
   of the extracted set, and each negative stays divergent on it;
