@@ -10,7 +10,7 @@ can re-ask with a larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .machine import (
     EMPTY_WINDOW,
@@ -87,6 +87,32 @@ class Delta2Presentation:
                 f"approximator output {v!r} at (n={n}, s={s}) is not 0/1"
             )
         return v
+
+
+@dataclass(frozen=True)
+class Delta2Partition:
+    """k-valued limit approximation d(n, s); part of n is the s-limit."""
+
+    k: int
+    table: Tuple[Tuple[int, ...], ...]  # table[n][s], values < k
+    bound: int
+    promised_bound: Optional[int] = None
+    declared_limits: Optional[Tuple[int, ...]] = None
+
+    def value(self, n: int, s: int) -> int:
+        row = self.table[n]
+        v = row[s] if s < len(row) else row[-1]
+        if not 0 <= v < self.k:
+            raise MalformedInstanceError(f"part value {v} at (n={n}, s={s})")
+        return v
+
+    def limit_part(self, n: int) -> Optional[int]:
+        """Exact when a stabilization bound is declared (audited at load);
+        otherwise the last value of the row, which a row that has not yet
+        settled may not hold."""
+        if self.promised_bound is not None:
+            return self.value(n, self.promised_bound)
+        return self.value(n, len(self.table[n]) - 1)
 
 
 @dataclass(frozen=True)
@@ -177,6 +203,66 @@ def stable_color_limit(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]
     if budget <= x + 1:
         raise ValueError(f"budget {budget} leaves no room above x={x}")
     return _guarded_limit(ColorLimit, lambda y: c.value(x, y), x + 1, budget)
+
+
+def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
+    """Limit color of column x, exact when the instance declares a
+    stabilization bound (the bound is audited at load time)."""
+    if c.declared_bound is not None:
+        y = max(c.declared_bound, x + 1)
+        if c.table is not None and y >= c.bound:
+            return None  # no pair above x inside the window
+        return ColorLimit(c.value(x, y), c.declared_bound)
+    return stable_color_limit(c, x, budget)
+
+
+def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
+    """Least m with c(x, y) constant for all y in [m, window_bound); exact on
+    the window.  A column with no pair above it inside the window reads no
+    pair and gives window_bound - 1, where the scan starts.  A table's
+    column is read straight from its row when no color there is one that
+    `Coloring.value` would refuse."""
+    top = window_bound - 1
+    if c.table is not None and x < top < c.bound:
+        column = c.table[x][:top - x]  # c(x, y) for x < y <= top
+        if max(column) < c.k:
+            return x + 1 + settles_at(column.__getitem__, 0, top - x - 1)
+    return settles_at(lambda y: c.value(x, y), x + 1, top)
+
+
+@dataclass(frozen=True)
+class FallowReport:
+    ok: bool
+    violation: Optional[Tuple[int, int, int]] = None
+
+
+def color_rows(c: Coloring, elems) -> List[List[Optional[int]]]:
+    """rows[a][b] = c(elems[a], elems[b]) for increasing `elems`, in both
+    orders; the diagonal is None.  Each pair is read once, straight from the
+    table when there is one."""
+    table, n = c.table, len(elems)
+    rows = [[None] * n for _ in range(n)]
+    for a, x in enumerate(elems):
+        for b in range(a + 1, n):
+            y = elems[b]
+            rows[a][b] = rows[b][a] = (c.value(x, y) if table is None
+                                       else table[x][y - x - 1])
+    return rows
+
+
+def fallow_check(c: Coloring, s) -> FallowReport:
+    """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
+    if any, scanning every triple; each pair is read once, by `color_rows`."""
+    elems = sorted(s)
+    rows, n = color_rows(c, elems), len(elems)
+    for a, to_x in enumerate(rows):
+        for b in range(a + 1, n):
+            xy, to_y = to_x[b], rows[b]
+            for d in range(b + 1, n):
+                xz = to_x[d]
+                if xz != xy and xz != to_y[d]:
+                    return FallowReport(False, (elems[a], elems[b], elems[d]))
+    return FallowReport(True)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..machine import (  # noqa: F401  (re-exports)
     HALTED, RUN_TREE_CAP, _RunTree, _run_tree, bounded_halt, finite_oracle,
@@ -45,8 +45,9 @@ from ..transcript import (  # noqa: F401  (re-exports)
     ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION, SKIP, CohCondition,
     D2Condition, StageRecord, Transcript, condition_dict, digest, extends,
     parse_label)
-from ..approx import Coloring, ColorLimit, settles_at, stable_color_limit
-from ..omega_model import select_part_mask, set_mask
+from ..approx import (  # noqa: F401  (re-exports)
+    FallowReport, color_rows, fallow_check, limit_color, stabilization_point)
+from ..selection import select_part_mask, set_mask
 
 SUBSET_WIDTH = 8  # reservoir members whose subsets a witness search tries
 PARTITION_CAP = 3 ** 9  # visits of one bad-partition search
@@ -85,41 +86,6 @@ def committed(cond, members, part: Optional[int] = None, floor: int = 0):
     return type(cond)(grown, cond.I + 1,
                       reservoir[bisect_left(reservoir, low):],
                       cond.window_bound)
-
-
-@dataclass(frozen=True)
-class FallowReport:
-    ok: bool
-    violation: Optional[Tuple[int, int, int]] = None
-
-
-def color_rows(c: Coloring, elems) -> List[List[Optional[int]]]:
-    """rows[a][b] = c(elems[a], elems[b]) for increasing `elems`, in both
-    orders; the diagonal is None.  Each pair is read once, straight from the
-    table when there is one."""
-    table, n = c.table, len(elems)
-    rows = [[None] * n for _ in range(n)]
-    for a, x in enumerate(elems):
-        for b in range(a + 1, n):
-            y = elems[b]
-            rows[a][b] = rows[b][a] = (c.value(x, y) if table is None
-                                       else table[x][y - x - 1])
-    return rows
-
-
-def fallow_check(c: Coloring, s) -> FallowReport:
-    """Least violating triple x < y < z with c(x,z) outside {c(x,y), c(y,z)},
-    if any, scanning every triple; each pair is read once, by `color_rows`."""
-    elems = sorted(s)
-    rows, n = color_rows(c, elems), len(elems)
-    for a, to_x in enumerate(rows):
-        for b in range(a + 1, n):
-            xy, to_y = to_x[b], rows[b]
-            for d in range(b + 1, n):
-                xz = to_x[d]
-                if xz != xy and xz != to_y[d]:
-                    return FallowReport(False, (elems[a], elems[b], elems[d]))
-    return FallowReport(True)
 
 
 class HaltWitness(NamedTuple):
@@ -310,31 +276,6 @@ def restrict_to_piece(reservoir, window: int, partition):
     cert["selected_part"] = pos
     cert["selection"] = [o._asdict() for o in outcomes]
     return tuple(z for z in reservoir if kept >> z & 1), cert
-
-
-def limit_color(c: Coloring, x: int, budget: int) -> Optional[ColorLimit]:
-    """Limit color of column x, exact when the instance declares a
-    stabilization bound (the bound is audited at load time)."""
-    if c.declared_bound is not None:
-        y = max(c.declared_bound, x + 1)
-        if c.table is not None and y >= c.bound:
-            return None  # no pair above x inside the window
-        return ColorLimit(c.value(x, y), c.declared_bound)
-    return stable_color_limit(c, x, budget)
-
-
-def stabilization_point(c: Coloring, x: int, window_bound: int) -> int:
-    """Least m with c(x, y) constant for all y in [m, window_bound); exact on
-    the window.  A column with no pair above it inside the window reads no
-    pair and gives window_bound - 1, where the scan starts.  A table's
-    column is read straight from its row when no color there is one that
-    `Coloring.value` would refuse."""
-    top = window_bound - 1
-    if c.table is not None and x < top < c.bound:
-        column = c.table[x][:top - x]  # c(x, y) for x < y <= top
-        if max(column) < c.k:
-            return x + 1 + settles_at(column.__getitem__, 0, top - x - 1)
-    return settles_at(lambda y: c.value(x, y), x + 1, top)
 
 
 @dataclass

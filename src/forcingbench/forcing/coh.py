@@ -16,8 +16,8 @@ from itertools import count
 from typing import Optional, Sequence
 
 from ..approx import SetPresentation
-from ..omega_model import (INTERSECT_SIDE, select_side_mask, set_mask,
-                           window_mask)
+from ..selection import (INTERSECT_SIDE, select_side_mask, set_mask,
+                         window_mask)
 from ..transcript import (ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION,
                           StageRecord, family_digest, parse_label)
 from .base import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import List, Optional, Tuple
 
-from ..approx import MalformedInstanceError
+from ..approx import Delta2Partition, MalformedInstanceError
 from ..transcript import (CASE1, CASE2, StageRecord, Transcript, parse_label,
                           partition_digest)
 from .base import (
@@ -29,32 +29,6 @@ from .base import (
     run_stages,
     start,
 )
-
-
-@dataclass(frozen=True)
-class Delta2Partition:
-    """k-valued limit approximation d(n, s); part of n is the s-limit."""
-
-    k: int
-    table: Tuple[Tuple[int, ...], ...]  # table[n][s], values < k
-    bound: int
-    promised_bound: Optional[int] = None
-    declared_limits: Optional[Tuple[int, ...]] = None
-
-    def value(self, n: int, s: int) -> int:
-        row = self.table[n]
-        v = row[s] if s < len(row) else row[-1]
-        if not 0 <= v < self.k:
-            raise MalformedInstanceError(f"part value {v} at (n={n}, s={s})")
-        return v
-
-    def limit_part(self, n: int) -> Optional[int]:
-        """Exact when a stabilization bound is declared (audited at load);
-        otherwise the last value of the row, which a row that has not yet
-        settled may not hold."""
-        if self.promised_bound is not None:
-            return self.value(n, self.promised_bound)
-        return self.value(n, len(self.table[n]) - 1)
 
 
 @dataclass(frozen=True)

@@ -40,22 +40,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..approx import Coloring, MalformedInstanceError
+from ..approx import (Coloring, MalformedInstanceError, color_rows,
+                      fallow_check, limit_color, stabilization_point)
 from ..transcript import StageRecord, coloring_digest
 from .base import (
     PARTITION_CAP,
     SUBSET_WIDTH,
     State,
-    color_rows,
     committed,
-    fallow_check,
     force_step,
     halt_cert,
     halt_compat,
     halt_search,
-    limit_color,
     run_stages,
-    stabilization_point,
     start,
 )
 # re-exported: the tests and perfbench's tracer reach the bad-partition

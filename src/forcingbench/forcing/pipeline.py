@@ -11,11 +11,12 @@ back to a monochromatic set, which is verified exhaustively before return.
 
 from __future__ import annotations
 
-from ..approx import Coloring, MalformedInstanceError, SetPresentation
+from ..approx import (Coloring, Delta2Partition, MalformedInstanceError,
+                      SetPresentation)
 from ..machine import OracleWindow
 from ..transcript import Transcript, coloring_digest
 from .coh import CohConfig, run_coh
-from .d2 import D2Config, Delta2Partition, run_d2
+from .d2 import D2Config, run_d2
 
 
 class PipelineInconclusive(RuntimeError):

@@ -19,8 +19,7 @@ import random
 from itertools import islice, repeat
 from typing import List, Tuple
 
-from ..approx import Coloring, Delta2Presentation
-from ..forcing.d2 import Delta2Partition
+from ..approx import Coloring, Delta2Partition, Delta2Presentation
 from ..trees import TableTree
 
 N_RANGE, BOUND_MAX, COLUMNS = 64, 32, 96  # gen_delta2's rows, noise, length

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..approx import Coloring, MalformedInstanceError, SetPresentation
-from ..forcing.d2 import Delta2Partition
+from ..approx import (Coloring, Delta2Partition, MalformedInstanceError,
+                      SetPresentation)
 from ..machine import assemble
 from ..trees import ExcludedSubstringTree, TableTree
 
