@@ -1,5 +1,12 @@
 """Staged approximation of jumps and limit-computed sets.
 
+This module is the home of every instance type (`SetPresentation`,
+`Delta2Presentation`, `Coloring`, `Delta2Partition`) and of a coloring's
+colour facts that EM reads: its limit colours (`limit_color`), each
+column's stabilization point, its pair colours (`color_rows`) and the
+fallowness scan (`fallow_check`).  It imports only `machine` and
+`pairing`, so reading or generating an instance loads no construction.
+
 Jump polarity note: the jump window below records the classical halting set
 {<e,x> : program e halts on x with the base oracle}, the Sigma-1 polarity.
 Negative information ("this pair is absent") is always provisional at a

@@ -1,7 +1,8 @@
 """The construction the three set-construction engines share: the stage
 skeleton and the witness and partition searches.  The transcript format
-is `forcingbench.transcript` and the run trees are `machine`'s; the names
-of both that were read from this module are re-exported here.
+is `forcingbench.transcript`, the run trees are `machine`'s, EM's colour
+facts are `approx`'s and side selection is `selection`'s; the names of
+the first three that were read from this module are re-exported here.
 
 Case-2 side selection reads a reservoir and the partition's pieces as int
 bitmasks of the window (bit x for member x).  This module builds every
@@ -42,14 +43,13 @@ from ..machine import (  # noqa: F401  (re-exports)
     HALTED, RUN_TREE_CAP, _RunTree, _run_tree, bounded_halt, finite_oracle,
     queries_oracle, query_free_status)
 from ..transcript import (  # noqa: F401  (re-exports)
-    ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION, SKIP, CohCondition,
-    D2Condition, StageRecord, Transcript, condition_dict, digest, extends,
-    parse_label)
+    ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION, SKIP, SUBSET_WIDTH,
+    CohCondition, D2Condition, StageRecord, Transcript, condition_dict,
+    digest, extends, parse_label)
 from ..approx import (  # noqa: F401  (re-exports)
     FallowReport, color_rows, fallow_check, limit_color, stabilization_point)
 from ..selection import select_part_mask, set_mask
 
-SUBSET_WIDTH = 8  # reservoir members whose subsets a witness search tries
 PARTITION_CAP = 3 ** 9  # visits of one bad-partition search
 
 

@@ -129,6 +129,10 @@ def run_coh(family: Sequence[SetPresentation], stages: int,
             config: Optional[CohConfig] = None):
     """Run the construction; returns (Transcript, C prefix)."""
     config = config or CohConfig()
+    width = config.subset_width
+    if not (type(width) is int and 0 <= width <= SUBSET_WIDTH):
+        raise ValueError(f"CohConfig.subset_width {width!r} is not an "
+                         f"integer from 0 to {SUBSET_WIDTH}")
     state = State(start(config.window))
     t = run_stages(
         "coh", family_digest(family, config.window), {

@@ -6,6 +6,9 @@ R_e (self-halting of program e relative to F^i), ordered lexicographically
 by (code, color).  Each stage decides at most one requirement, so the
 per-color decision counters, which this module keeps and writes into each
 Case-1 and Case-2 certificate, sum to at most the number of stages run.
+
+This module holds the engine alone: the instance it reads,
+`Delta2Partition`, is `forcingbench.approx`'s, and is re-exported here.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Transitive-pattern (fallow) set construction from a stable coloring.
 
+This module holds the engine; the colour facts it reads of the coloring
+(`limit_color`, `stabilization_point`, `color_rows`, `fallow_check`) are
+`forcingbench.approx`'s, beside the coloring itself.
+
 Conditions are pairs (F, reservoir).  Stages run on the shared skeleton
 `base.force_step`; a piece is extendable when some limit class of it
 holds a valid extension (fallow now and in the limit).  The extraction

@@ -107,6 +107,7 @@ from ..transcript import (
     CASE2,
     D_RESTRICTION,
     E_EXTENSION,
+    SUBSET_WIDTH,
     Transcript,
     TranscriptFormatError,
     coloring_digest,
@@ -331,13 +332,25 @@ def _replay_positive(rec, e: int, window: int) -> Tuple[Tuple[str, str],
     return (REFUTED, "halting certificate does not replay"), True
 
 
+def _run_width(t: Transcript, report: AuditReport) -> int:
+    """The run's subset width, `config["subset_width"]`.  One that is not an
+    integer from 0 to `SUBSET_WIDTH`, which no run's passes, is refuted
+    once, and `SUBSET_WIDTH` is read."""
+    width = t.config.get("subset_width")
+    if type(width) is int and 0 <= width <= SUBSET_WIDTH:
+        return width
+    report.add(REFUTED, "run's subset width is not an integer from 0 to "
+               f"{SUBSET_WIDTH}")
+    return SUBSET_WIDTH
+
+
 def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
-                      window: int, max_width):
+                      window: int, max_width: int):
     """Widen the witness search of a Case-2 decision for program e by
     `audit_fuel`; the step/use bound stays tied to the oracle maximum (that
     bound is part of the claim being audited, not a budget).  Its recorded
-    subset width must lie within the run's, `max_width`: the re-search
-    costs 2^(width + audit_fuel) questions."""
+    subset width must lie within the run's, `max_width`, at most
+    `SUBSET_WIDTH`: the re-search costs 2^(width + audit_fuel) questions."""
     cert = rec.certificates
     # part-wise runs confine the question to the recorded pool; witnesses
     # from outside it would not answer the question that was asked
@@ -351,8 +364,7 @@ def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
         return
     search = cert.get("search")
     width = search.get("subset_width") if isinstance(search, dict) else None
-    if not (type(width) is int and type(max_width) is int
-            and 0 <= width <= max_width):
+    if not (type(width) is int and 0 <= width <= max_width):
         report.add(REFUTED, "negative decision's subset width is not an "
                    "integer from 0 to the run's", rec.stage, rec.requirement)
         return
@@ -404,6 +416,21 @@ def _jump_ledger(entries, extracted, report: AuditReport,
             continue
         report.add(*verdict, rec.stage, rec.requirement)
     return refuted
+
+
+def _check_fallow_claims(extraction: Dict, fallow: bool,
+                         report: AuditReport):
+    """EM's claims that `B` is fallow, against `fallow`, the instance's
+    answer: `extraction["fallow"]` must be that bool, and the final flag
+    `iv-fallow` present exactly when it is true.  Each check adds a finding
+    only when it refutes."""
+    if extraction.get("fallow") is not fallow:
+        report.add(REFUTED, "fallow claim is not whether the extracted set "
+                   "is fallow")
+    flags = extraction.get("final_flags")
+    if (isinstance(flags, list) and "iv-fallow" in flags) is not fallow:
+        report.add(REFUTED, "final flag iv-fallow disagrees with whether "
+                   "the extracted set is fallow")
 
 
 def verify_transcript(t: Transcript, audit_fuel: int = 2,
@@ -478,6 +505,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     # D2's part of each color asked about, read once from the instance
     part = (lru_cache(maxsize=None)(lambda i: set(d2_part(instance, i)))
             if t.kind == "d2" and instance is not None else None)
+    max_width = _run_width(t, report) if t.kind in ("coh", "em", "d2") else 0
     entries = []  # (record, parsed label, replay) of each decided R or N
     restated = []  # (fault, record) of each record restating a wrong set
     for rec, before in zip(records, befores):
@@ -501,7 +529,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             entries.append((rec, label, replay))
         elif rec.branch == CASE2 and label[0] == "N":
             _recheck_negative(rec, label[1], report, audit_fuel, window,
-                              t.config.get("subset_width"))
+                              max_width)
             entries.append((rec, label, None))
 
     color = t.extraction.get("color")
@@ -525,6 +553,7 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             else:
                 report.add(REFUTED, f"fallow violation {bad}")
                 refuted = True
+            _check_fallow_claims(t.extraction, bad is None, report)
         elif t.kind == "rt2":
             bad = list(islice(off_color_pairs(instance, b, color), 3))
             if bad:

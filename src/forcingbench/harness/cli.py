@@ -142,8 +142,14 @@ def _cmd_oracle(args) -> int:
         needs = "--members of naturals"
     elif args.kind == "fallow" and max(args.members, default=-1) >= p.bound:
         needs = f"--members below the coloring's bound {p.bound}"
+    elif args.kind == "cohesive_check" and max(args.members, default=-1) >= (
+            least := min((r.window.bound for r in p), default=0)):
+        needs = f"--members below the family's least bound {least}"
     elif args.kind == "d2_subset" and not 0 <= args.color < p.k:
         needs = f"--color from 0 to {p.k - 1}"
+    elif args.kind == "homogeneous" and args.bound is not None and not (
+            0 <= args.bound <= p.bound):
+        needs = f"--bound from 0 to the coloring's bound {p.bound}"
     if needs is not None:
         print(f"oracle {args.kind} needs {needs}", file=sys.stderr)
         return 2

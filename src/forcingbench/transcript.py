@@ -30,6 +30,10 @@ D_RESTRICTION = "D-restriction"
 ABORT = "abort"
 SKIP = "skip"  # no run writes it: every stage meets a requirement
 
+# reservoir members whose subsets a witness search tries: no run's subset
+# width, nor any record's, passes it
+SUBSET_WIDTH = 8
+
 
 def committed_below(committed, reservoir) -> bool:
     """The condition invariant: every committed member lies below every
