@@ -49,6 +49,10 @@ makes these passes, in this order of findings:
 - the extracted set (`B` for a kind no run writes) is a list of
   distinct naturals below the window; if it is not, it is refuted here,
   and neither the ledger nor the instance checks read it;
+- for coh, EM and D2, the run's subset width (`config["subset_width"]`)
+  is an integer from 0 to `SUBSET_WIDTH`, the format's bound; if it is
+  not, it is refuted once and `SUBSET_WIDTH` is read, so no forged width
+  sets the cost of a re-search;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
   recorded steps, use and value (one it does not record is refuted);
@@ -69,9 +73,10 @@ makes these passes, in this order of findings:
 - the jump ledger, over the decided R/N records the main pass hands it
   with their parsed names and replays: each positive's oracle is a prefix
   of the extracted set, and each negative stays divergent on it;
-- with the instance: EM's extracted set is fallow (and each aborted EM
-  stage is reported provisional), D2's lies in the selected part, and
-  the pipeline's set is monochromatic;
+- with the instance: EM's extracted set is fallow, and its `fallow` claim
+  and `iv-fallow` flag say whether it is (and each aborted EM stage is
+  reported provisional), D2's lies in the selected part, and the
+  pipeline's set is monochromatic;
 - last, the extraction is tied to the stages: coh, EM and D2 write
   `config["stages"]` records, and what they extract is what the last
   condition read commits (coh's `C` and EM's `B` its committed set, none
