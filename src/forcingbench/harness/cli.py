@@ -33,7 +33,7 @@ from .instances import (
     partition_to_doc,
     tree_to_doc,
 )
-from .oracles import brute_oracle
+from .oracles import OracleRangeError, brute_oracle
 from .transcripts import emit_transcript, load_transcript, transcript_hash
 
 
@@ -136,25 +136,12 @@ def _cmd_oracle(args) -> int:
     if inst.kind not in kinds:
         return _wrong_kind(f"oracle {args.kind}", " or ".join(kinds),
                            inst.kind)
-    p, needs = inst.payload, None
-    if args.kind in ("fallow", "cohesive_check") and (
-            args.members is None or min(args.members, default=0) < 0):
-        needs = "--members of naturals"
-    elif args.kind == "fallow" and max(args.members, default=-1) >= p.bound:
-        needs = f"--members below the coloring's bound {p.bound}"
-    elif args.kind == "cohesive_check" and max(args.members, default=-1) >= (
-            least := min((r.window.bound for r in p), default=0)):
-        needs = f"--members below the family's least bound {least}"
-    elif args.kind == "d2_subset" and not 0 <= args.color < p.k:
-        needs = f"--color from 0 to {p.k - 1}"
-    elif args.kind == "homogeneous" and args.bound is not None and not (
-            0 <= args.bound <= p.bound):
-        needs = f"--bound from 0 to the coloring's bound {p.bound}"
-    if needs is not None:
-        print(f"oracle {args.kind} needs {needs}", file=sys.stderr)
+    try:
+        rep = brute_oracle(args.kind, inst.payload, bound=args.bound,
+                           color=args.color, members=args.members)
+    except OracleRangeError as exc:
+        print(f"oracle {args.kind} needs --{exc.needs}", file=sys.stderr)
         return 2
-    rep = brute_oracle(args.kind, p, bound=args.bound,
-                       color=args.color, members=args.members)
     print(json.dumps({
         "kind": rep.kind, "method": rep.method, "size": rep.size,
         "optimum": rep.optimum,

@@ -7,18 +7,22 @@ nodes must be 0/1 strings as long as their level, and declared
 stabilization data must actually hold, with the field or a counterexample
 in the error message when it does not.  Program payloads embed assembler
 text verbatim.  PyYAML is imported only by `parse_instance` and
-`dump_instance`, so a run that reads no instance file never loads it.
+`dump_instance`, so a run that reads no instance file never loads it, and
+`forcingbench.trees` only by `_tree_from`, so one that reads no tree never
+loads that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..approx import (Coloring, Delta2Partition, MalformedInstanceError,
                       SetPresentation)
 from ..machine import assemble
-from ..trees import ExcludedSubstringTree, TableTree
+
+if TYPE_CHECKING:
+    from ..trees import TableTree
 
 KINDS = ("RFamily", "StableColoring", "Delta2Partition", "Coloring", "Tree")
 
@@ -160,6 +164,8 @@ def _family_from(doc: Dict) -> List[SetPresentation]:
 
 
 def _tree_from(doc: Dict):
+    from ..trees import ExcludedSubstringTree, TableTree
+
     if "excluded" in doc:
         return ExcludedSubstringTree(tuple(
             _ints(pat, "excluded pattern")
