@@ -13,10 +13,11 @@ an instance is the same for its seed whichever way it is drawn.
 ``randrange(k)`` takes the top b = ``k.bit_length()`` bits of one 32-bit
 Mersenne Twister word and draws again while the value is k or more.  For
 1 <= k <= 255, b is at most 8, so ``_draws`` takes a round of m values from
-one ``getrandbits(32 * m)``: CPython fills that number with m words from
-the same ``genrand_uint32`` calls, low word first, so each value is the
-high byte of one word shifted down, and ``bytes.translate`` maps the high
-bytes and deletes those whose value is k or more.  A k outside 1..255 is
+one ``getrandbits(32 * m)``: CPython (3.10 to 3.13 alike) fills that
+number with m words from the same ``genrand_uint32`` calls whose top bits
+``getrandbits(b)`` returns, low word first, so each value is the high byte
+of one word shifted down, and ``bytes.translate`` maps the high bytes and
+deletes those whose value is k or more.  A k outside 1..255 is
 drawn one ``getrandbits(b)`` at a time.  The ``randrange(2, ...)`` draws of
 a bound, ``gen_program_pairs`` (two ranges in turn) and ``gen_table_tree``
 (``random()``) draw one call at a time.  ``forcingbench.trees`` is imported
