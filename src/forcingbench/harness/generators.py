@@ -83,9 +83,8 @@ def gen_delta2(seed: int) -> Tuple[Delta2Presentation, Tuple[int, ...]]:
     """A 0/1 limit approximation plus its ground-truth limit row."""
     rng = random.Random(("delta2", seed).__repr__())
     bound = rng.randrange(2, BOUND_MAX + 1)
-    drawn = _draws(rng, 2, N_RANGE * (1 + bound))
-    limits = tuple(drawn[:N_RANGE])
-    noise = _rows(drawn[N_RANGE:], [bound] * N_RANGE)
+    limits, *noise = _rows(_draws(rng, 2, N_RANGE * (1 + bound)),
+                           [N_RANGE] + [bound] * N_RANGE)
     table = tuple(row + (limits[n],) * (COLUMNS - bound)
                   for n, row in enumerate(noise))
     return Delta2Presentation(table=table, promised_bound=bound), limits
@@ -98,9 +97,8 @@ def gen_stable_coloring(seed: int, k: int = 3, bound: int = 40) -> Coloring:
     stab = rng.randrange(2, STAB_MAX + 1)
     top = min(stab, bound)  # row x draws its colors at y < top
     widths = [max(top - x - 1, 0) for x in range(bound)]
-    drawn = _draws(rng, k, bound + sum(widths))
-    limits = tuple(drawn[:bound])
-    noise = _rows(drawn[bound:], widths)
+    limits, *noise = _rows(_draws(rng, k, bound + sum(widths)),
+                           [bound] + widths)
     table = tuple(row + (limits[x],) * (bound - max(top, x + 1))
                   for x, row in enumerate(noise))
     return Coloring(k=k, table=table, bound=bound,
@@ -111,9 +109,8 @@ def gen_d2_partition(seed: int, k: int = 2,
                      bound: int = 64) -> Delta2Partition:
     rng = random.Random(("d2-partition", seed, k, bound).__repr__())
     stab = rng.randrange(2, STAB_MAX + 1)
-    drawn = _draws(rng, k, bound * (1 + stab))
-    limits = tuple(drawn[:bound])
-    noise = _rows(drawn[bound:], [stab] * bound)
+    limits, *noise = _rows(_draws(rng, k, bound * (1 + stab)),
+                           [bound] + [stab] * bound)
     table = tuple(row + (limits[n],) for n, row in enumerate(noise))
     return Delta2Partition(k=k, table=table, bound=bound,
                            promised_bound=stab, declared_limits=limits)
