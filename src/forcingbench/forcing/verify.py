@@ -165,14 +165,14 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
-# the condition in effect before a record that follows an unread one
+# the condition in effect after a null first condition, until one is read
 _UNREAD = "unread"
 
 
 def _check_chain(t: Transcript, report: AuditReport):
     """The record pass (see the module docstring): the records read, the
-    condition in effect before each (None for the start condition,
-    `_UNREAD` after a record whose condition was not read), and the last
+    condition in effect before each (the last condition read: None for the
+    start condition, `_UNREAD` after a null first condition), and the last
     condition read (None for none).  A condition is read into its sets
     once; one that is None or repeats it keeps its verdicts, which follow
     the refutations of unread records."""
@@ -180,10 +180,11 @@ def _check_chain(t: Transcript, report: AuditReport):
                           _NO_KIND).branches
     parts = t.kind == "d2"
     records, befores, verdicts = [], [], []
-    last = prev = valid = current = None
+    last = prev = valid = None
+    unread = False
     for s, rec in enumerate(t.stages):
         fault = broken = None
-        before = current
+        before = _UNREAD if unread else last
         if rec.branch not in branches:
             fault = "branch is not one its kind writes"
         elif not isinstance(rec.certificates, dict):
@@ -201,21 +202,17 @@ def _check_chain(t: Transcript, report: AuditReport):
                 notes = []
                 if prev is not None and not extends_sets(sets, prev, notes):
                     broken = notes[0] if notes else "clause check"
-                last, prev = rec.condition, sets
+                last, prev, unread = rec.condition, sets, False
         if fault is not None:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
-            current = _UNREAD
             continue
-        if not records and rec.condition is None:
+        if not records and rec.condition is None:  # it repeats nothing
             verdicts.append(("first stage repeats no earlier condition", rec))
+            unread = True
         if valid is False:
             verdicts.append(("committed set reaches into the reservoir", rec))
         if broken is not None:
             verdicts.append(("extension order violated: " + broken, rec))
-        if rec.condition is not None:
-            current = rec.condition
-        elif before is None:  # a null at the start repeats nothing
-            current = _UNREAD
         records.append(rec)
         befores.append(before)
     for note, rec in verdicts:
@@ -225,44 +222,44 @@ def _check_chain(t: Transcript, report: AuditReport):
     return records, befores, last
 
 
-def _restated_fault(rec, color, before, window: int, parts: bool,
-                    part=None) -> Optional[str]:
-    """What a Case-2 or D-restriction record restates wrongly of `before`,
-    the condition in effect before it (None: the start condition of the
-    window), or None.  `F_at_decision` is that condition's committed set,
-    for D2 its part `color`, and a Case-2 `reservoir_at_decision` its
-    reservoir.  D2's `pool_at_decision` lies inside that reservoir and, with
-    the instance, is the reservoir's members in `part(color)`."""
+def _asked_sets(rec, color, before, window: int, parts: bool, part=None):
+    """The sets a Case-2 or D-restriction record was asked on, read off
+    `before`, the condition in effect before it (None: the start condition
+    of the window), as (committed set, pool); or what the record restates
+    wrongly of them.  `F_at_decision` restates the committed set, for D2
+    its part `color`, and a Case-2 `reservoir_at_decision` the reservoir,
+    which is the pool but for D2's: its `pool_at_decision` lies inside the
+    reservoir and, with the instance, is the reservoir's members in
+    `part(color)`."""
     cert = rec.certificates
-    r = cert.get("reservoir_at_decision")
     if before is None:  # nothing committed, and the whole window reserved
-        committed = []
-        same = (isinstance(r, list) and len(r) == window
-                and r == list(range(window)))
+        committed, reservoir = [], list(range(window))
     else:
         try:
             committed = before["F_parts"][color] if parts else before["F"]
         except (IndexError, KeyError, TypeError):
             return "restated committed set is no part of the condition's"
-        same = r == before["reservoir"]
+        reservoir = before["reservoir"]
     if cert.get("F_at_decision") != committed:
         return "restated committed set is not the condition's before it"
     if rec.branch == D_RESTRICTION:
-        return None
-    if not same:
+        return committed, None
+    if cert.get("reservoir_at_decision") != reservoir:
         return "restated reservoir is not the condition's before it"
     if not parts:
-        return None
+        return committed, reservoir
     pool = cert.get("pool_at_decision")
     if part is not None:
         members = part(color)
-        if pool != [z for z in r if z in members]:
+        asked = [z for z in reservoir if z in members]
+        if pool != asked:
             return "negative decision's pool is not the reservoir's " \
                 "members in its part"
-    elif not (isinstance(pool, list) and set(map(type, pool)) <= {int}
-              and set(pool) <= set(r)):
+        return committed, asked
+    if not (isinstance(pool, list) and set(map(type, pool)) <= {int}
+            and set(pool) <= set(reservoir)):
         return "negative decision's pool is not inside the reservoir"
-    return None
+    return committed, pool
 
 
 def _tie_extraction(t: Transcript, last, b, report: AuditReport):
@@ -349,25 +346,22 @@ def _run_width(t: Transcript, report: AuditReport) -> int:
     return SUBSET_WIDTH
 
 
-def _recheck_negative(rec, e: int, report: AuditReport, audit_fuel: int,
-                      window: int, max_width: int):
+def _recheck_negative(rec, e: int, asked, report: AuditReport,
+                      audit_fuel: int, window: int, max_width: int):
     """Widen the witness search of a Case-2 decision for program e by
-    `audit_fuel`; the step/use bound stays tied to the oracle maximum (that
+    `audit_fuel`, on `asked`, the (committed set, pool) of the chain it was
+    decided on; the step/use bound stays tied to the oracle maximum (that
     bound is part of the claim being audited, not a budget).  Its recorded
     subset width must lie within the run's, `max_width`, at most
     `SUBSET_WIDTH`: the re-search costs 2^(width + audit_fuel) questions."""
-    cert = rec.certificates
-    # part-wise runs confine the question to the recorded pool; witnesses
-    # from outside it would not answer the question that was asked
-    pool = cert.get("pool_at_decision", cert.get("reservoir_at_decision"))
-    committed = cert.get("F_at_decision")
+    committed, pool = asked
     if (_set_fault(committed, window, "committed set") is not None
             or _set_fault(pool, window, "pool") is not None):
         report.add(REFUTED, "negative decision's committed set or pool is "
                    "not a list of distinct naturals below the window",
                    rec.stage, rec.requirement)
         return
-    search = cert.get("search")
+    search = rec.certificates.get("search")
     width = search.get("subset_width") if isinstance(search, dict) else None
     if not (type(width) is int and 0 <= width <= max_width):
         report.add(REFUTED, "negative decision's subset width is not an "
@@ -512,29 +506,28 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
             if t.kind == "d2" and instance is not None else None)
     max_width = _run_width(t, report) if t.kind in ("coh", "em", "d2") else 0
     entries = []  # (record, parsed label, replay) of each decided R or N
-    restated = []  # (fault, record) of each record restating a wrong set
     for rec, before in zip(records, befores):
         if rec.branch not in (CASE1, CASE2, D_RESTRICTION):
             continue
         label = parse_label(rec.requirement)
-        if rec.branch != CASE1 and before is not _UNREAD:
-            wrong = _restated_fault(
-                rec, None if label is None else label[2], before, window,
-                t.kind == "d2", part)
-            if wrong is not None:
-                restated.append((wrong, rec))
-        if rec.branch == D_RESTRICTION:
-            continue
-        if label is None:
+        if label is None and rec.branch != D_RESTRICTION:
             report.add(REFUTED, "decided requirement's name is unreadable",
                        rec.stage, rec.requirement)
-        elif rec.branch == CASE1 and label[0] == "R":
-            replay = _replay_positive(rec, label[1], window)
-            report.add(*replay[0], rec.stage, rec.requirement)
-            entries.append((rec, label, replay))
+            continue
+        if rec.branch == CASE1:
+            if label[0] == "R":
+                replay = _replay_positive(rec, label[1], window)
+                report.add(*replay[0], rec.stage, rec.requirement)
+                entries.append((rec, label, replay))
+            continue
+        asked = None if before is _UNREAD else _asked_sets(
+            rec, label and label[2], before, window, t.kind == "d2", part)
+        if isinstance(asked, str):
+            report.add(REFUTED, asked, rec.stage, rec.requirement)
         elif rec.branch == CASE2 and label[0] == "N":
-            _recheck_negative(rec, label[1], report, audit_fuel, window,
-                              max_width)
+            if asked is not None:
+                _recheck_negative(rec, label[1], asked, report, audit_fuel,
+                                  window, max_width)
             entries.append((rec, label, None))
 
     color = t.extraction.get("color")
@@ -572,12 +565,6 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(PROVISIONAL,
                            rec.certificates.get("reason", "stage aborted"),
                            rec.stage, rec.requirement)
-    if restated:  # refuting each record that no other check refuted
-        hit = [(f["stage"], f["requirement"]) for f in report.findings
-               if f["grade"] == REFUTED]
-        for wrong, rec in restated:
-            if (rec.stage, rec.requirement) not in hit:
-                report.add(REFUTED, wrong, rec.stage, rec.requirement)
     if t.kind in ("coh", "em", "d2"):
         _tie_extraction(t, last, None if refuted else b, report)
     return report

@@ -131,7 +131,7 @@ DIGESTS = {
     "coh-grown-reservoir":
         "3374aae90c5ee4d54389f37ad472fd9a8930f44c8442e69c99eec7c72d266f40",
     "coh-repeated-invalid":
-        "1c83d0f4f559b9fca7561f77a3c20532475457f2330aad894bd5dc00b15be132",
+        "dc1670ac15cc80c0992cc14333300c6255f2700caa545c62cd9337fb0cc84bd4",
     "coh-tampered-extraction":
         "8eeb58795b40a1d881b427ac3ec96247423a375409e5cdd2dc6955fecdd2800d",
     "d2-0":
@@ -139,7 +139,7 @@ DIGESTS = {
     "d2-0-grown-reservoir":
         "a52476ec73b1d32f8beeb6ac97e3374da9b22cf67694fde979692d4c051d22d1",
     "d2-0-repeated-invalid":
-        "f1c64c0e92acf48b0d8d0a987dc814d99ab19b2699fb67deb255202201e2f2d5",
+        "f42c2436b6b192f13d53560f999c7ccc42f3d69be8a78318f685a769ab2b924e",
     "d2-0-swapped-parts":
         "c811c9d718a8b0b97bc915595a8928a9566e8e3cf566367603fbcbe0ae68dd77",
     "d2-1":
@@ -151,7 +151,7 @@ DIGESTS = {
     "em-0-forged-steps":
         "016a83a600ec654212233f16c9c3fb5b5f3ec187214df77a527fdd92485e0946",
     "em-0-repeated-invalid":
-        "b80fc0bf66e3798988760364269890f24474196ac66eb6755720522f58268227",
+        "05366dfa06ebd4da16e0934d82f8e7c3790014ff1851da13bd315650925d9318",
     "em-0-tampered-extraction":
         "24a60ecc2e894fd7df6833511257a28fbba8a53a9a68c4f456268730cefa7eb4",
     "em-0-window-bound":

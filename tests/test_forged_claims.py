@@ -5,8 +5,10 @@ The re-search of a negative decision costs 2^(width + audit_fuel)
 questions, and its width was bounded by `config["subset_width"]`, which a
 transcript can forge: width 20 made one EM audit take seconds, about
 twice as long per unit of width.  The audit now refutes a run's width
-past `SUBSET_WIDTH` once and bounds every record's width by it.  EM's
-`fallow` claim and its `iv-fallow` flag are checked against the instance.
+past `SUBSET_WIDTH` once and bounds every record's width by it; a record
+whose restated sets are not the chain's is refuted before any search.
+EM's `fallow` claim and its `iv-fallow` flag are checked against the
+instance.
 """
 
 import time
@@ -25,6 +27,8 @@ from test_forged_oracles import d2_run, em_run  # noqa: F401  (fixtures)
 from test_verify import _reload
 
 RUN_WIDTH = "run's subset width is not an integer from 0 to 8"
+RECORD_WIDTH = ("negative decision's subset width is not an integer from 0 "
+                "to the run's")
 
 
 def _forged_width(t, stage: int, pool_key: str, width: int = 20):
@@ -61,8 +65,29 @@ def test_forged_run_width_refuted_quickly(em_run, d2_run, kind):
     refuted = _refuted(report)
     assert refuted[0] == (None, None, RUN_WIDTH)
     assert [r for r in refuted if r[0] is None] == [refuted[0]]
-    assert (stage, rec.requirement, "negative decision's subset width is "
-            "not an integer from 0 to the run's") in refuted
+    # its emptied committed set is not the chain's: refuted unsearched
+    assert (stage, rec.requirement, "restated committed set is not the "
+            "condition's before it") in refuted
+
+
+@pytest.mark.parametrize("kind", ("em", "d2"))
+def test_forged_widths_on_an_honest_restatement_refuted_quickly(
+        em_run, d2_run, kind):
+    # the negative with the widest pool, its sets restated as the chain's
+    t, instance = em_run if kind == "em" else d2_run[:2]
+    key = "reservoir_at_decision" if kind == "em" else "pool_at_decision"
+    rec = max((r for r in t.stages if r.branch == "Case2"),
+              key=lambda r: len(r.certificates[key]))
+    assert len(rec.certificates[key]) > SUBSET_WIDTH  # wider than honest
+    bad = _reload(t)
+    bad.config["subset_width"] = 20
+    bad.stages[rec.stage].certificates["search"]["subset_width"] = 20
+    began = time.perf_counter()
+    report = verify_transcript(bad, audit_fuel=2, instance=instance)
+    assert time.perf_counter() - began < 1.0
+    refuted = _refuted(report)
+    assert refuted == [(None, None, RUN_WIDTH),
+                       (rec.stage, rec.requirement, RECORD_WIDTH)]
 
 
 @pytest.mark.parametrize("width", (-1, SUBSET_WIDTH + 1, "8", True, None))

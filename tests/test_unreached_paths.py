@@ -2,8 +2,9 @@
 negatives, counters and parts, the stage engine's two aborts, and the
 refusals of an instance no stage can run on.
 
-Every refutation here is forged from a seed-0 transcript and must come out
-refuted with its own note.  The aborts drive `base.force_step` with a
+Every refutation here is forged from a seed-0 transcript, or from a
+one-stage run that restates its chain's sets, and must come out refuted
+with its own note.  The aborts drive `base.force_step` with a
 synthetic predicate and witness: a search that hits its cap, or a witness
 step that finds nothing after the predicate answered yes, must end the
 stage as an abort with a reason and block its requirement.
@@ -13,17 +14,17 @@ import dataclasses
 
 import pytest
 
+from forcingbench import programs
 from forcingbench.approx import MalformedInstanceError, SetPresentation
 from forcingbench.forcing import (base, run_coh, run_d2, run_em,
                                   verify_transcript)
 from forcingbench.forcing.base import (ABORT, CASE2, SKIP, State,
-                                       bounded_halt, force_step, parse_label,
-                                       start)
+                                       force_step, run_stages, start)
 from forcingbench.harness import (gen_coloring, gen_d2_partition,
                                   gen_stable_coloring)
-from forcingbench.machine import HALTED
+from forcingbench.machine import assemble
 
-from test_forged_oracles import _positives, d2_run, em_run  # noqa: F401
+from test_forged_oracles import d2_run, em_run  # noqa: F401
 from test_verify import _reload
 
 
@@ -33,39 +34,41 @@ def _notes(report, rec):
             and f["requirement"] == rec.requirement]
 
 
-def _positive_as_negative(t, with_pool: bool):
-    """A copy of `t` whose first positive R_e that does not halt on the
-    empty set is recorded as a negative N_e with nothing committed, over a
-    pool of the oracle that e halted on (`with_pool`) or an empty one."""
-    bad = _reload(t)
-    i = next(i for i in _positives(bad) if bounded_halt(
-        parse_label(bad.stages[i].requirement)[1], []).tag != HALTED)
-    rec = bad.stages[i]
-    bad.stages[i] = dataclasses.replace(
-        rec, branch=CASE2, requirement="N" + rec.requirement[1:],
-        certificates={
-            "answer": "no", "F_at_decision": [],
-            "reservoir_at_decision":
-                rec.certificates["oracle"] if with_pool else [],
-            "search": {"subset_width": base.SUBSET_WIDTH},
-        })
-    return bad, bad.stages[i]
+def _negative_run(program, window: int, width: int = base.SUBSET_WIDTH,
+                  extracted=()):
+    """A one-stage EM-kind transcript over the window [0, window) whose only
+    record is a Case-2 decision for `program`, restating the chain's sets
+    and recording subset width `width`, that extracts `extracted`."""
+    def step(state, stage):
+        return force_step(state, stage, f"R_{program.index}", 2,
+                          lambda piece: False, lambda: None,
+                          {"F_at_decision": list(state.condition.F)},
+                          "stalled")
+
+    t = run_stages("em", "x", {"stages": 1, "window": window,
+                               "subset_width": base.SUBSET_WIDTH},
+                   State(start(window)), step, 1)
+    t.extraction = {"B": list(extracted)}
+    rec = t.stages[0]
+    assert rec.branch == CASE2
+    rec.certificates["search"]["subset_width"] = width
+    return t, rec
 
 
-def test_negative_refuted_by_witness_in_its_pool(em_run):
-    t, c = em_run
-    bad, rec = _positive_as_negative(t, with_pool=True)
-    report = verify_transcript(bad, audit_fuel=2, instance=c)
-    witness = [n for n in _notes(report, rec)
-               if n.startswith("negative decision refuted by witness")]
-    assert witness and not witness[0].endswith("[]")  # found in the pool
+def test_negative_refuted_by_witness_in_its_pool():
+    t, rec = _negative_run(programs.halt_if_member(3), 6)
+    report = verify_transcript(t, audit_fuel=2)
+    assert _notes(report, rec) == [
+        "negative decision refuted by witness [3]"]  # found in the pool
 
 
-def test_negative_halting_on_the_extracted_prefix_refuted(em_run):
-    t, c = em_run
-    # an empty pool: only the jump ledger, on the extracted set, sees it
-    bad, rec = _positive_as_negative(t, with_pool=False)
-    report = verify_transcript(bad, audit_fuel=2, instance=c)
+def test_negative_halting_on_the_extracted_prefix_refuted():
+    # halts only on an oracle holding both 5 and 6: the re-search of width
+    # 0 + 2 misses it, and only the jump ledger, on B = [5, 6], sees it
+    both = assemble("set r0 5\nqry r0\njz r0 spin\nset r0 6\nqry r0\n"
+                    "jz r0 spin\nhalt r0\nspin: jmp spin")
+    t, rec = _negative_run(both, 8, width=0, extracted=[5, 6])
+    report = verify_transcript(t, audit_fuel=2)
     assert _notes(report, rec) == [
         "negative decision halts on the extracted prefix"]
 
