@@ -18,8 +18,6 @@ from ..forcing import (
     run_em,
     verify_transcript,
 )
-from ..omega_model import build_model, model_audit
-from ..trees import low_basis_path
 from .generators import (
     gen_coloring,
     gen_d2_partition,
@@ -88,6 +86,8 @@ def _cmd_run_rt2(args, c) -> int:
 
 
 def _cmd_low_basis(args, tree) -> int:
+    from ..trees import low_basis_path
+
     path, decisions = low_basis_path(tree, args.e_bound, args.depth)
     print("path: " + "".join(str(b) for b in path))
     for d in decisions.decisions:
@@ -97,6 +97,8 @@ def _cmd_low_basis(args, tree) -> int:
 
 
 def _cmd_build_model(args, family) -> int:
+    from ..omega_model import build_model, model_audit
+
     m = build_model(family[0], args.depth, low=args.low)
     problems = model_audit(m)
     print(f"model depth {m.depth}, node bits {len(m.node)}")
