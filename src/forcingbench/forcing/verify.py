@@ -6,9 +6,9 @@ the format's leaf module; an instance fact is a `forcingbench.brute`
 checker's, and a halting claim replays through `machine.bounded_halt`, the
 machine's semantics.  The one decision procedure it takes from the
 constructions is their witness search, `base.find_halt_witness`, which
-re-asks each negative decision.  Findings carry one of three grades:
-certified (re-checked and exact), provisional (true as far as a bounded
-re-check can see), refuted (contradicted by replay).
+re-asks each negative decision on the chain's own sets.  Findings carry
+one of three grades: certified (re-checked and exact), provisional (true
+as far as a bounded re-check can see), refuted (contradicted by replay).
 
 `_KINDS` is the one table of what each kind writes: its branches (coh's
 Case1, Case2, E-extension, D-restriction and abort, EM's and D2's Case1,
@@ -29,9 +29,9 @@ makes these passes, in this order of findings:
   condition out only when it differs from the last one written.  A `null`
   at the first record read repeats nothing and is refuted.  Every kind
   but RT2 gets a certified finding for the chain.  The pass also keeps
-  the condition in effect before each record read: the start condition
-  of the window before the first, and none after a record it did not
-  read;
+  the condition in effect before each record read, the last condition it
+  read: the start condition of the window before the first, and none
+  after a `null` first condition until it reads one;
 - for RT2, the audits of its nested coh and D2 transcripts, each read by
   `Transcript.from_dict`; one it cannot read, or whose kind is not its
   slot's name, is one refuted finding;
@@ -55,21 +55,20 @@ makes these passes, in this order of findings:
   sets the cost of a re-search;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
-  recorded steps, use and value (one it does not record is refuted);
-  every Case-2 decision whose committed set and pool are lists of
-  distinct naturals below the window, and whose recorded subset width
-  lies within the run's, survives a wider witness search, and any other
-  is refuted, as is a decided requirement whose name `parse_label`
-  cannot read.  Each Case-2 and coh D-restriction record restates sets of
-  the condition in effect before it: `F_at_decision` its committed set
-  (D2's part of the record's color), and a Case-2
+  recorded steps, use and value (one it does not record is refuted); a
+  decided requirement whose name `parse_label` cannot read is refuted.
+  Each Case-2 and coh D-restriction record was asked on sets of the
+  condition in effect before it, and restates them: `F_at_decision` its
+  committed set (D2's part of the record's color), and a Case-2
   `reservoir_at_decision` its reservoir, inside which D2's
   `pool_at_decision` lies; with the instance, that pool is the
   reservoir's members in the part (`brute.d2_part`).  A wrong
-  restatement refutes the record, after the ledger and the instance
-  checks, unless the chain, the re-search or one of them already did:
-  the re-search reads the restated sets, which on every record left
-  unrefuted are the chain's;
+  restatement is refuted at its record, which gets no re-search and no
+  ledger entry.  Every other Case-2 decision is asked again on the
+  chain's sets (none after a `null` first condition, which leaves none in
+  effect): if they are lists of distinct naturals below the window and
+  its recorded subset width lies within the run's, it must survive a
+  wider witness search, and otherwise it is refuted;
 - the jump ledger, over the decided R/N records the main pass hands it
   with their parsed names and replays: each positive's oracle is a prefix
   of the extracted set, and each negative stays divergent on it;
