@@ -25,18 +25,21 @@ window is itself a stage.  Without one (Case 1) a witness is committed;
 with one (Case 2) an infinite piece of it is kept and the negative answer
 recorded.  An engine hands `force_step` only its mathematics: the label
 its schedule gives out, `compat`, a witness finder that returns the
-committed condition, and the fields of a negative certificate.  The
-committed sets, `decided` and `blocked` only grow, so no requirement code
-below the first free one frees up again: every engine's schedule scans
-from `State.cursor`, the code it last gave out.  Finitely many codes are
-taken, so every stage meets a requirement.
+committed condition, and the fields of a negative certificate.
+
+An engine's schedule is its order of requirement labels alone: each code
+lists its labels, and `next_free` gives out the first one that is neither
+decided nor blocked.  The committed sets, `decided` and `blocked` only
+grow, so no label before the first free one frees up again, and the scan
+resumes at `State.cursor`, the code it last gave out.  Finitely many
+labels are taken, so every stage meets a requirement.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..machine import (  # noqa: F401  (re-exports)
@@ -284,6 +287,18 @@ class State:
     decided: Dict[str, Dict] = field(default_factory=dict)
     blocked: Dict[str, None] = field(default_factory=dict)  # in order
     cursor: int = 0  # where the engine's schedule resumes its scan
+
+
+def next_free(state: State, labels) -> str:
+    """The first label of `labels(code)`, for the codes from `State.cursor`
+    on, that is neither decided nor blocked; the cursor is left at its
+    code."""
+    decided, blocked = state.decided, state.blocked
+    for code in count(state.cursor):
+        for label in labels(code):
+            if label not in decided and label not in blocked:
+                state.cursor = code
+                return label
 
 
 def settle(state: State, stage: int, label: str, branch: str, cond,

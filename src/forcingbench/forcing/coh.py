@@ -12,7 +12,6 @@ committed x so that every later commitment lands on x's chosen side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Optional, Sequence
 
 from ..approx import SetPresentation
@@ -27,6 +26,7 @@ from .base import (
     find_halt_witness,
     halt_cert,
     narrowed,
+    next_free,
     run_stages,
     settle,
     start,
@@ -43,27 +43,16 @@ class CohConfig:
 
 def _next_requirement(state: State, family_size: int, stage: int,
                       schedule: str) -> str:
-    """`State.cursor` is the round `t` (least) or the R index
-    (committed-columns) last given out: F and `decided` only grow, and
-    E_{t+1} is due at every round t >= |F|."""
-    cond = state.condition
+    """Least gives out, at code t, D_t, E_{t+1} while |F| <= t, and R_t.
+    Committed-columns gives out D_x for committed columns x first, then E
+    at even stages and R at odd ones, where code e is R_e."""
+    F, at = state.condition.F, state.cursor
     if schedule == "committed-columns":
-        for x in cond.F:
-            if x < family_size and f"D_{x}" not in state.decided:
-                return f"D_{x}"
-        if stage % 2 == 0:
-            return f"E_{len(cond.F) + 1}"
-        while f"R_{state.cursor}" in state.decided:
-            state.cursor += 1
-        return f"R_{state.cursor}"
-    for t in count(state.cursor):
-        state.cursor = t
-        if t < family_size and f"D_{t}" not in state.decided:
-            return f"D_{t}"
-        if len(cond.F) < t + 1:
-            return f"E_{t + 1}"
-        if f"R_{t}" not in state.decided:
-            return f"R_{t}"
+        cols = [f"D_{x}" for x in F if x < family_size]
+        return next_free(state, lambda e: (cols if e == at else []) + [
+            f"E_{len(F) + 1}" if stage % 2 == 0 else f"R_{e}"])
+    return next_free(state, lambda t: [f"D_{t}"] * (t < family_size) + [
+        f"E_{t + 1}"] * (len(F) <= t) + [f"R_{t}"])
 
 
 def coh_step(state: State, family: Sequence[SetPresentation],

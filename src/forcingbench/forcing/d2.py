@@ -14,7 +14,6 @@ This module holds the engine alone: the instance it reads,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import List, Optional, Tuple
 
 from ..approx import Delta2Partition, MalformedInstanceError
@@ -29,6 +28,7 @@ from .base import (
     halt_cert,
     halt_compat,
     halt_search,
+    next_free,
     run_stages,
     start,
 )
@@ -40,14 +40,9 @@ class D2Config:
 
 
 def _next_d2_requirement(state: State, k: int) -> str:
-    """The least free label in (code, color) order, from the cursor on."""
-    for code in count(state.cursor):
-        kind = "E" if code % 2 == 0 else "R"
-        for i in range(k):
-            label = f"{kind}_{code // 2}^{i}"
-            if label not in state.decided and label not in state.blocked:
-                state.cursor = code
-                return label
+    """Labels in (code, color) order: the cursor counts them."""
+    return next_free(state, lambda n: (
+        f"{'ER'[n // k % 2]}_{n // k // 2}^{n % k}",))
 
 
 def d2_step(state: State, d: Delta2Partition, stage: int,

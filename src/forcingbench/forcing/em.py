@@ -56,6 +56,7 @@ from .base import (
     halt_cert,
     halt_compat,
     halt_search,
+    next_free,
     run_stages,
     start,
 )
@@ -196,21 +197,10 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min,
 
 
 def _next_em_requirement(state: State) -> str:
-    """The least free code from the cursor on: 2n-2 is E+_n, 2e+1 R_e."""
-    decided, blocked, size = (state.decided, state.blocked,
-                              len(state.condition.F))
-    for code in itertools.count(state.cursor):
-        if code % 2 == 0:
-            if size > code // 2:
-                continue
-            label = f"E+_{code // 2 + 1}"
-        else:
-            label = f"R_{code // 2}"
-            if label in decided:
-                continue
-        if label not in blocked:
-            state.cursor = code
-            return label
+    """Code 2n-2 is E+_n, due while |F| < n, and code 2e+1 is R_e."""
+    size = len(state.condition.F)
+    return next_free(state, lambda code: (f"R_{code // 2}",) if code % 2
+                     else (f"E+_{code // 2 + 1}",) * (size <= code // 2))
 
 
 class _EmRun:
