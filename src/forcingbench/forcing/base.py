@@ -319,6 +319,8 @@ def settle(state: State, stage: int, label: str, branch: str, cond,
 def run_stages(kind: str, instance_hash: str, config: Dict, state: State,
                step, stages: int) -> Transcript:
     """The transcript of `stages` calls of `step(state, stage)`."""
+    if type(stages) is not int or stages < 0:
+        raise ValueError(f"stages {stages!r} is not an integer >= 0")
     t = Transcript(kind=kind, instance_hash=instance_hash, config=config)
     for s in range(stages):
         t.stages.append(step(state, s))

@@ -122,10 +122,12 @@ def run_coh(family: Sequence[SetPresentation], stages: int,
     if not (type(width) is int and 0 <= width <= SUBSET_WIDTH):
         raise ValueError(f"CohConfig.subset_width {width!r} is not an "
                          f"integer from 0 to {SUBSET_WIDTH}")
-    state = State(start(config.window))
+    # a set reads nothing past its bound, so neither does the run
+    window = min([config.window] + [r.window.bound for r in family])
+    state = State(start(window))
     t = run_stages(
-        "coh", family_digest(family, config.window), {
-            "stages": stages, "window": config.window,
+        "coh", family_digest(family, window), {
+            "stages": stages, "window": window,
             "density_min": config.density_min,
             "subset_width": config.subset_width,
             "schedule": config.schedule,

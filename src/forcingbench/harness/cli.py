@@ -97,6 +97,10 @@ def _cmd_low_basis(args, tree) -> int:
 
 
 def _cmd_build_model(args, family) -> int:
+    if not family:
+        print("build-model needs an RFamily with at least one set",
+              file=sys.stderr)
+        return 2
     from ..omega_model import build_model, model_audit
 
     m = build_model(family[0], args.depth, low=args.low)
