@@ -43,16 +43,26 @@ class CohConfig:
 
 def _next_requirement(state: State, family_size: int, stage: int,
                       schedule: str) -> str:
-    """Least gives out, at code t, D_t, E_{t+1} while |F| <= t, and R_t.
-    Committed-columns gives out D_x for committed columns x first, then E
-    at even stages and R at odd ones, where code e is R_e."""
-    F, at = state.condition.F, state.cursor
-    if schedule == "committed-columns":
-        cols = [f"D_{x}" for x in F if x < family_size]
-        return next_free(state, lambda e: (cols if e == at else []) + [
-            f"E_{len(F) + 1}" if stage % 2 == 0 else f"R_{e}"])
-    return next_free(state, lambda t: [f"D_{t}"] * (t < family_size) + [
-        f"E_{t + 1}"] * (len(F) <= t) + [f"R_{t}"])
+    """Least gives out, at round t, D_t, E_{t+1} while |F| <= t, and R_t.
+    Committed-columns gives out D_x for the committed columns x, then
+    E_{|F|+1} (never decided) at even stages and R_e at odd ones, where
+    code e is R_e."""
+    F = state.condition.F
+
+    def least(t):
+        if t < family_size:
+            yield f"D_{t}"
+        if len(F) <= t:
+            yield f"E_{t + 1}"
+        yield f"R_{t}"
+
+    def committed_columns(e):
+        for x in F:
+            if x < family_size:
+                yield f"D_{x}"
+        yield f"E_{len(F) + 1}" if stage % 2 == 0 else f"R_{e}"
+    return next_free(state, committed_columns
+                     if schedule == "committed-columns" else least)
 
 
 def coh_step(state: State, family: Sequence[SetPresentation],

@@ -40,9 +40,9 @@ class D2Config:
 
 
 def _next_d2_requirement(state: State, k: int) -> str:
-    """Labels in (code, color) order: the cursor counts them."""
-    return next_free(state, lambda n: (
-        f"{'ER'[n // k % 2]}_{n // k // 2}^{n % k}",))
+    """Labels in (code, color) order: code 2n is E_n, code 2e+1 is R_e."""
+    return next_free(state, lambda code: (
+        f"{'ER'[code % 2]}_{code // 2}^{i}" for i in range(k)))
 
 
 def d2_step(state: State, d: Delta2Partition, stage: int,

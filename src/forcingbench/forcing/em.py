@@ -199,8 +199,13 @@ def em_clause_flags(c: Coloring, F, reservoir, density_min,
 def _next_em_requirement(state: State) -> str:
     """Code 2n-2 is E+_n, due while |F| < n, and code 2e+1 is R_e."""
     size = len(state.condition.F)
-    return next_free(state, lambda code: (f"R_{code // 2}",) if code % 2
-                     else (f"E+_{code // 2 + 1}",) * (size <= code // 2))
+
+    def labels(code):
+        if code % 2:
+            yield f"R_{code // 2}"
+        elif size <= code // 2:
+            yield f"E+_{code // 2 + 1}"
+    return next_free(state, labels)
 
 
 class _EmRun:
