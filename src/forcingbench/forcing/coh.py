@@ -44,9 +44,9 @@ class CohConfig:
 def _next_requirement(state: State, family_size: int, stage: int,
                       schedule: str) -> str:
     """Least gives out, at round t, D_t, E_{t+1} while |F| <= t, and R_t.
-    Committed-columns gives out D_x for the committed columns x, then
-    E_{|F|+1} (never decided) at even stages and R_e at odd ones, where
-    code e is R_e."""
+    Committed-columns gives out D_x for the committed columns x, then at
+    even stages E_{|F|+1}, which is never decided, and else R_e, where code
+    e is R_e: the D and E labels come at the code the scan starts from."""
     F = state.condition.F
 
     def least(t):
@@ -57,10 +57,13 @@ def _next_requirement(state: State, family_size: int, stage: int,
         yield f"R_{t}"
 
     def committed_columns(e):
-        for x in F:
-            if x < family_size:
-                yield f"D_{x}"
-        yield f"E_{len(F) + 1}" if stage % 2 == 0 else f"R_{e}"
+        if e == state.cursor:  # where the scan starts
+            for x in F:
+                if x < family_size:
+                    yield f"D_{x}"
+            if stage % 2 == 0:
+                yield f"E_{len(F) + 1}"
+        yield f"R_{e}"
     return next_free(state, committed_columns
                      if schedule == "committed-columns" else least)
 
