@@ -297,10 +297,7 @@ def jump_window(x: SetPresentation, bound: int, stage: int) -> JumpWindow:
         raise ValueError("bound and stage must be >= 1")
     positives: Dict[int, int] = {}
     for pair in range(bound):
-        e, n = uncantor(pair)
-        out = run_program(e, n, x.window, stage)
-        if out.tag == ORACLE_INSUFFICIENT:
-            raise OracleInsufficientError(out.missing)
-        if out.tag == HALTED:
-            positives[pair] = out.steps
+        steps = jump_positive(x, *uncantor(pair), stage)
+        if steps is not None:
+            positives[pair] = steps
     return JumpWindow(base=x, stage=stage, bound=bound, positives=positives)

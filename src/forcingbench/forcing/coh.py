@@ -110,8 +110,8 @@ def coh_step(state: State, family: Sequence[SetPresentation],
     side_bit = 1 if out.side == INTERSECT_SIDE else 0
     survivors = tuple(x for x in cond.reservoir
                       if (r_mask >> x & 1) == side_bit)
-    max_f = max(cond.F) if cond.F else -1
-    density = sum(1 for x in survivors if x > max_f)
+    # the condition invariant puts the whole reservoir past max F
+    density = len(survivors)
     cert = {
         "side": side_bit, "select_by": out.by,
         "count_intersect": out.count_intersect,

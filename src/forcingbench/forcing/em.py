@@ -219,8 +219,7 @@ class _EmRun:
             cl = limit_color(c, z, window - 1)
             if cl is not None:
                 limits[z] = cl.color
-        self.cls = tuple(limits[z] if limits.get(z) in range(c.k) else None
-                         for z in range(window))
+        self.cls = tuple(limits.get(z) for z in range(window))
         stab = [stabilization_point(c, z, window) for z in range(window)]
         self.ext = _Extensions(color_rows(c, range(window)), limits, stab)
 

@@ -11,8 +11,8 @@ back to a monochromatic set, which is verified exhaustively before return.
 
 from __future__ import annotations
 
-from ..approx import (Coloring, Delta2Partition, MalformedInstanceError,
-                      SetPresentation)
+from ..approx import Coloring, Delta2Partition, SetPresentation
+from ..brute import off_color_pairs
 from ..machine import OracleWindow
 from ..transcript import Transcript, coloring_digest
 from .coh import CohConfig, run_coh
@@ -32,16 +32,13 @@ D2_STAGES = 40
 
 def column_family(c: Coloring):
     """The columns R_x = {y > x : c(x, y) = 1} over the window, read
-    straight from the table when there is one, with `Coloring.value`'s
-    colour-range check."""
+    straight from the table when every colour in the row is in range, and
+    otherwise through `Coloring.value`, which refuses the first bad pair."""
     fam = []
     for x in range(c.bound):
         row = (c.table[x] if c.table is not None
+               and max(c.table[x], default=0) < c.k
                else [c.value(x, y) for y in range(x + 1, c.bound)])
-        if row and max(row) >= c.k:
-            j = next(j for j, v in enumerate(row) if v >= c.k)
-            raise MalformedInstanceError(
-                f"color {row[j]} out of range at ({x}, {x + 1 + j})")
         bits = (0,) * (x + 1) + tuple(1 if v == 1 else 0 for v in row)
         fam.append(SetPresentation(OracleWindow(bits)))
     return fam
@@ -83,11 +80,10 @@ def rt2_pipeline(c: Coloring, stages: int):
         if all(c.value(min(x, y), max(x, y)) == color for x in h):
             h.append(y)
             h.sort()
-    for a in range(len(h)):
-        for bb in range(a + 1, len(h)):
-            if c.value(h[a], h[bb]) != color:
-                raise PipelineInconclusive(
-                    f"extracted set not monochromatic at ({h[a]}, {h[bb]})")
+    bad = next(off_color_pairs(c, h, color), None)
+    if bad is not None:
+        raise PipelineInconclusive(
+            f"extracted set not monochromatic at {bad}")
     t = Transcript(
         kind="rt2",
         instance_hash=coloring_digest(c),

@@ -42,7 +42,11 @@ def _wrong_kind(command: str, needs: str, got: str) -> int:
     return 2
 
 
-def _exit_code(report) -> int:
+def _print_counts(report) -> int:
+    """Print the report's three counts, and return the exit code: 2 when a
+    finding is refuted, 1 when one is provisional, else 0."""
+    for grade in ("certified", "provisional", "refuted"):
+        print(f"{grade}: {report.counts[grade]}")
     if report.counts["refuted"]:
         return 2
     if report.counts["provisional"]:
@@ -57,10 +61,7 @@ def _finish(t, extracted, instance, args) -> int:
     else:
         print(f"transcript sha256 {transcript_hash(t)}")
     print(f"extracted: {extracted}")
-    report = verify_transcript(t, instance=instance)
-    for grade in ("certified", "provisional", "refuted"):
-        print(f"{grade}: {report.counts[grade]}")
-    return _exit_code(report)
+    return _print_counts(verify_transcript(t, instance=instance))
 
 
 def _cmd_run_coh(args, family) -> int:
@@ -124,9 +125,7 @@ def _cmd_verify(args) -> int:
         if f["grade"] != "certified" or args.verbose:
             where = "" if f["stage"] is None else f" stage {f['stage']}"
             print(f"{f['grade']}{where}: {f['note']}")
-    for grade in ("certified", "provisional", "refuted"):
-        print(f"{grade}: {report.counts[grade]}")
-    return _exit_code(report)
+    return _print_counts(report)
 
 
 # the instance kinds each oracle reads (fallow and cohesive_check also

@@ -55,17 +55,20 @@ OP_JZ = 5
 OP_JMP = 6
 OP_QRY = 7
 
-_MNEMONICS = {
-    OP_HALT: "halt",
-    OP_SET: "set",
-    OP_INC: "inc",
-    OP_DEC: "dec",
-    OP_ADD: "add",
-    OP_JZ: "jz",
-    OP_JMP: "jmp",
-    OP_QRY: "qry",
+# the one instruction table: each opcode's mnemonic and the shapes of the
+# operands its text writes, in order ("r" a register, "n" a natural or a
+# label); an operand the shape leaves out is never read and assembles as 0
+_FORMATS = {
+    OP_HALT: ("halt", "r"),
+    OP_SET: ("set", "rn"),
+    OP_INC: ("inc", "r"),
+    OP_DEC: ("dec", "r"),
+    OP_ADD: ("add", "rr"),
+    OP_JZ: ("jz", "rn"),
+    OP_JMP: ("jmp", "n"),
+    OP_QRY: ("qry", "r"),
 }
-_OPCODES = {name: op for op, name in _MNEMONICS.items()}
+_OPCODES = {name: op for op, (name, _) in _FORMATS.items()}
 
 HALTED = "halted"
 OUT_OF_FUEL = "out_of_fuel"
@@ -285,13 +288,7 @@ def fuel_sweep(e, x: int, oracle: OracleWindow, max_fuel: int):
 def finite_oracle(members) -> OracleWindow:
     """Characteristic window of a finite set, bounded just past its max.
     Negative members are skipped: a forged transcript may hold them."""
-    if not members:
-        return OracleWindow((0,))
-    bits = [0] * (max(members) + 1)
-    for n in members:
-        if n >= 0:
-            bits[n] = 1
-    return OracleWindow(tuple(bits))
+    return OracleWindow.from_set(members, max(members, default=0) + 1)
 
 
 # nodes a program's run tree may hold: a question that finds the tree at
@@ -464,24 +461,12 @@ def assemble(text: str) -> OracleProgram:
         if name not in _OPCODES:
             raise AssemblerError(f"line {lineno}: unknown mnemonic {name!r}")
         op = _OPCODES[name]
-        args = parts[1:]
-        try:
-            if op in (OP_HALT, OP_INC, OP_DEC, OP_QRY):
-                (a,) = args
-                code.append(Instruction(op, _reg(a, lineno)))
-            elif op in (OP_SET, OP_JZ):
-                a, b = args
-                code.append(Instruction(op, _reg(a, lineno), _nat(b, lineno, labels)))
-            elif op == OP_ADD:
-                a, b = args
-                code.append(Instruction(op, _reg(a, lineno), _reg(b, lineno)))
-            else:  # OP_JMP
-                (a,) = args
-                code.append(Instruction(op, _nat(a, lineno, labels)))
-        except ValueError as exc:
-            if isinstance(exc, AssemblerError):
-                raise
-            raise AssemblerError(f"line {lineno}: bad operands {args!r}") from exc
+        args, shape = parts[1:], _FORMATS[op][1]
+        if len(args) != len(shape):
+            raise AssemblerError(f"line {lineno}: bad operands {args!r}")
+        code.append(Instruction(op, *(
+            _reg(tok, lineno) if kind == "r" else _nat(tok, lineno, labels)
+            for kind, tok in zip(shape, args))))
     return OracleProgram(tuple(code))
 
 
@@ -509,13 +494,9 @@ def _nat(tok: str, lineno: int, labels=None) -> int:
 def disassemble(program: OracleProgram) -> str:
     lines = []
     for ins in program.code:
-        name = _MNEMONICS[ins.op]
-        if ins.op in (OP_HALT, OP_INC, OP_DEC, OP_QRY):
-            lines.append(f"{name} r{ins.a}")
-        elif ins.op in (OP_SET, OP_JZ):
-            lines.append(f"{name} r{ins.a} {ins.b}")
-        elif ins.op == OP_ADD:
-            lines.append(f"{name} r{ins.a} r{ins.b}")
-        else:
-            lines.append(f"{name} {ins.a}")
+        name, shape = _FORMATS[ins.op]
+        words = [name]
+        for kind, value in zip(shape, (ins.a, ins.b)):
+            words.append(f"r{value}" if kind == "r" else str(value))
+        lines.append(" ".join(words))
     return "\n".join(lines)
