@@ -12,8 +12,11 @@ as far as a bounded re-check can see), refuted (contradicted by replay).
 
 `_KINDS` is the one table of what each kind writes: its branches (coh's
 Case1, Case2, E-extension, D-restriction and abort, EM's and D2's Case1,
-Case2 and abort, and no stage of RT2's own), its `instance_hash` and its
-extracted set's key (coh's `C`, RT2's `H`, EM's and D2's `B`).  No run
+Case2 and abort, and no stage of RT2's own), with the requirement kinds
+each branch decides (Case 2 an N, Case 1 an R or EM's E+ or D2's E, a
+D-restriction a D, an E-extension an E, and an abort a label of its
+kind's schedule, never an N), its `instance_hash` and its extracted set's
+key (coh's `C`, RT2's `H`, EM's and D2's `B`).  No run
 writes a skip: every stage meets a requirement.  `verify_transcript`
 makes these passes, in this order of findings:
 
@@ -34,7 +37,11 @@ makes these passes, in this order of findings:
   after a `null` first condition until it reads one;
 - for RT2, the audits of its nested coh and D2 transcripts, each read by
   `Transcript.from_dict`; one it cannot read, or whose kind is not its
-  slot's name, is one refuted finding;
+  slot's name, is one refuted finding.  When the nested D2 transcript is
+  read, RT2's `color` must be its colour, and `H` must hold
+  `stable_columns[j]` for each j in its `B`, each j an index of
+  `stable_columns`; each tie is refuted once.  The members the greedy
+  closure added to `H` are not checked;
 - D2's decision counters are integers within the budget of their
   record's stage number;
 - the run's window (`config["window"]`) is its first read record's
@@ -53,6 +60,9 @@ makes these passes, in this order of findings:
   is an integer from 0 to `SUBSET_WIDTH`, the format's bound; if it is
   not, it is refuted once and `SUBSET_WIDTH` is read, so no forged width
   sets the cost of a re-search;
+- a record whose requirement `parse_label` reads but whose branch does
+  not decide its kind is refuted, once, and gets no replay, re-search or
+  ledger entry;
 - every Case-1 certificate replays: its oracle lists a finite set of
   naturals below the window on which the program self-halts with the
   recorded steps, use and value (one it does not record is refuted); a
@@ -129,20 +139,24 @@ PROVISIONAL = "provisional"
 REFUTED = "refuted"
 
 class _Kind(NamedTuple):
-    branches: Tuple[str, ...]  # the branches a run of the kind writes
+    # each branch a run of the kind writes, with the requirement kinds
+    # (`parse_label`'s first field) it decides
+    branches: Dict[str, Tuple[str, ...]]
     digest: Callable  # the `instance_hash` it writes of (instance, window)
     extracted: str  # the extraction key of its extracted set
 
 
 _KINDS = {
-    "coh": _Kind((CASE1, CASE2, E_EXTENSION, D_RESTRICTION, ABORT),
+    "coh": _Kind({CASE1: ("R",), CASE2: ("N",), E_EXTENSION: ("E",),
+                  D_RESTRICTION: ("D",), ABORT: ("D", "E", "R")},
                  family_digest, "C"),
-    "em": _Kind((CASE1, CASE2, ABORT), lambda c, _: coloring_digest(c), "B"),
-    "d2": _Kind((CASE1, CASE2, ABORT), lambda d, _: partition_digest(d),
-                "B"),
-    "rt2": _Kind((), lambda c, _: coloring_digest(c), "H"),
+    "em": _Kind({CASE1: ("R", "E+"), CASE2: ("N",), ABORT: ("R", "E+")},
+                lambda c, _: coloring_digest(c), "B"),
+    "d2": _Kind({CASE1: ("R", "E"), CASE2: ("N",), ABORT: ("R", "E")},
+                lambda d, _: partition_digest(d), "B"),
+    "rt2": _Kind({}, lambda c, _: coloring_digest(c), "H"),
 }
-_NO_KIND = _Kind((), lambda *_: None, "B")  # a kind no run writes
+_NO_KIND = _Kind({}, lambda *_: None, "B")  # a kind no run writes
 
 
 @dataclass
@@ -184,7 +198,7 @@ def _check_chain(t: Transcript, report: AuditReport):
     for s, rec in enumerate(t.stages):
         fault = broken = None
         before = _UNREAD if unread else last
-        if rec.branch not in branches:
+        if not (isinstance(rec.branch, str) and rec.branch in branches):
             fault = "branch is not one its kind writes"
         elif not isinstance(rec.certificates, dict):
             fault = "certificates are not a mapping"
@@ -416,6 +430,26 @@ def _jump_ledger(entries, extracted, report: AuditReport,
     return refuted
 
 
+def _tie_rt2(x: Dict, d2: Dict, report: AuditReport):
+    """RT2's extraction `x` against its nested D2 run's extraction `d2`:
+    `color` is the D2 run's, and `H` holds `stable_columns[j]` for each j
+    in the D2 run's `B`, each j an index of `stable_columns`.  The members
+    the greedy closure added are not checked, and an `H` or a `B` that is
+    not a list is refuted where its own audit reads it.  Each check adds a
+    finding only when it refutes."""
+    if x.get("color") != d2.get("color"):
+        report.add(REFUTED, "color is not the nested d2 run's")
+    cols, h, b = x.get("stable_columns"), x.get("H"), d2.get("B")
+    b = b if isinstance(b, list) else []
+    if not (isinstance(cols, list)
+            and all(type(j) is int and 0 <= j < len(cols) for j in b)):
+        report.add(REFUTED, "nested d2 run's extracted set does not index "
+                   "the stable columns")
+    elif isinstance(h, list) and any(cols[j] not in h for j in b):
+        report.add(REFUTED, "extracted set misses the image of the nested "
+                   "d2 run's under the stable columns")
+
+
 def _check_fallow_claims(extraction: Dict, fallow: bool,
                          report: AuditReport):
     """EM's claims that `B` is fallow, against `fallow`, the instance's
@@ -459,10 +493,12 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
                 report.add(REFUTED, f"nested {nested} transcript is of "
                            f"kind {sub.kind!r}")
                 continue
-            sub = verify_transcript(sub, audit_fuel)
-            report.findings.extend(sub.findings)
-            for g, n in sub.counts.items():
+            audit = verify_transcript(sub, audit_fuel)
+            report.findings.extend(audit.findings)
+            for g, n in audit.counts.items():
                 report.counts[g] += n
+            if nested == "d2":
+                _tie_rt2(t.extraction, sub.extraction, report)
 
     if t.kind == "d2":
         total = 0
@@ -506,9 +542,13 @@ def verify_transcript(t: Transcript, audit_fuel: int = 2,
     max_width = _run_width(t, report) if t.kind in ("coh", "em", "d2") else 0
     entries = []  # (record, parsed label, replay) of each decided R or N
     for rec, before in zip(records, befores):
+        label = parse_label(rec.requirement)
+        if label is not None and label[0] not in kind.branches[rec.branch]:
+            report.add(REFUTED, "requirement is not one its branch decides",
+                       rec.stage, rec.requirement)
+            continue
         if rec.branch not in (CASE1, CASE2, D_RESTRICTION):
             continue
-        label = parse_label(rec.requirement)
         if label is None and rec.branch != D_RESTRICTION:
             report.add(REFUTED, "decided requirement's name is unreadable",
                        rec.stage, rec.requirement)

@@ -18,7 +18,10 @@ operands are taken mod 4 at execution time so the numbering stays bijective):
     qry  rA         op 7   rA = oracle bit at index rA
 
 An instruction codes as 8 * cantor(a, b) + op; a program codes as the
-bijective list encoding of its instruction codes.
+bijective list encoding of its instruction codes.  `_FORMATS` is the one
+instruction table: each opcode's mnemonic and the operands its text
+writes, read by both `assemble` and `disassemble`.  The raw b of a
+one-operand instruction is never read, so its text drops it.
 
 Execution cost: `decode_program` decodes each index once and keeps the
 frozen program in a bounded cache, so a program asked about again and
