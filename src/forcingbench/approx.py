@@ -183,7 +183,7 @@ class Coloring:
             if out.tag != HALTED:
                 raise MalformedInstanceError(f"coloring program diverged at ({x}, {y})")
             v = out.value
-        if v >= self.k:
+        if not 0 <= v < self.k:
             raise MalformedInstanceError(f"color {v} out of range at ({x}, {y})")
         return v
 

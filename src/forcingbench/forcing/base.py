@@ -7,7 +7,8 @@ the first three that were read from this module are re-exported here.
 Case-2 side selection reads a reservoir and the partition's pieces as int
 bitmasks of the window (bit x for member x).  This module builds every
 condition a run holds: `start` the first, `narrowed` and `committed` each
-later one, and only these two install a reservoir (and bump `I`).
+later one, each an extension of the one before, which `settle` writes as
+its delta (`transcript.condition_delta`).
 
 "Infinite" always means: the window density witness meets a configured
 count beyond the committed maximum.  Every acceptance of that surrogate is
@@ -47,8 +48,8 @@ from ..machine import (  # noqa: F401  (re-exports)
     queries_oracle, query_free_status)
 from ..transcript import (  # noqa: F401  (re-exports)
     ABORT, CASE1, CASE2, D_RESTRICTION, E_EXTENSION, SKIP, SUBSET_WIDTH,
-    CohCondition, D2Condition, StageRecord, Transcript, condition_dict,
-    digest, extends, parse_label)
+    CohCondition, D2Condition, StageRecord, Transcript, condition_delta,
+    condition_dict, digest, extends, parse_label)
 from ..approx import (  # noqa: F401  (re-exports)
     FallowReport, color_rows, fallow_check, limit_color, stabilization_point)
 from ..selection import select_part_mask, set_mask
@@ -61,16 +62,15 @@ def start(window: int, parts: Optional[int] = None):
     for D2) and the whole window [0, window) reserved."""
     reservoir = tuple(range(window))
     if parts is None:
-        return CohCondition((), 0, reservoir, window)
-    return D2Condition(((),) * parts, 0, reservoir, window)
+        return CohCondition((), reservoir, window)
+    return D2Condition(((),) * parts, reservoir, window)
 
 
-# both condition kinds take (committed, I, reservoir, window_bound)
+# both condition kinds take (committed, reservoir, window_bound)
 def narrowed(cond, reservoir):
     """`cond` with `reservoir`, a subset of its own, installed."""
     return type(cond)(cond.F_parts if isinstance(cond, D2Condition)
-                      else cond.F, cond.I + 1, tuple(reservoir),
-                      cond.window_bound)
+                      else cond.F, tuple(reservoir), cond.window_bound)
 
 
 def committed(cond, members, part: Optional[int] = None, floor: int = 0):
@@ -86,8 +86,7 @@ def committed(cond, members, part: Optional[int] = None, floor: int = 0):
         grown = tuple(parts)
     low = max(max(members, default=-1) + 1, floor)
     reservoir = cond.reservoir
-    return type(cond)(grown, cond.I + 1,
-                      reservoir[bisect_left(reservoir, low):],
+    return type(cond)(grown, reservoir[bisect_left(reservoir, low):],
                       cond.window_bound)
 
 
@@ -269,8 +268,7 @@ def restrict_to_piece(reservoir, window: int, partition):
     Returns (the piece ∩ reservoir, or None when the reservoir is empty and
     there is nothing to select from; the certificate).
     """
-    cert = {"partition": [list(p) for p in partition],
-            "reservoir_at_decision": list(reservoir)}
+    cert = {"partition": [list(p) for p in partition]}
     if not reservoir:
         return None, cert
     pos, kept, _, outcomes = select_part_mask(
@@ -306,14 +304,16 @@ def settle(state: State, stage: int, label: str, branch: str, cond,
            block: bool = False) -> StageRecord:
     """End a stage in condition `cond`, booking `label` as decided (`entry`
     plus the stage) or blocked.  The record names `label`, or for Case 2,
-    where R_e is answered negatively, N_e."""
+    where R_e is answered negatively, N_e, and writes `cond` whole at stage
+    0 and otherwise as `condition_delta` writes it after the one before."""
+    written = condition_delta(state.condition if stage else None, cond)
     state.condition = cond
     if entry is not None:
         state.decided[label] = {"stage": stage, **entry}
     if block:
         state.blocked[label] = None
     return StageRecord(stage, "N" + label[1:] if branch == CASE2 else label,
-                       branch, condition_dict(cond), cert)
+                       branch, written, cert)
 
 
 def run_stages(kind: str, instance_hash: str, config: Dict, state: State,

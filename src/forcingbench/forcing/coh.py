@@ -91,11 +91,7 @@ def coh_step(state: State, family: Sequence[SetPresentation],
             cert = halt_cert(witness, search, key="D")
             return settle(state, stage, label, CASE1,
                           committed(cond, witness.added), cert, entry=cert)
-        cert = {
-            "answer": "no", "search": search,
-            "F_at_decision": list(cond.F),
-            "reservoir_at_decision": list(cond.reservoir),
-        }
+        cert = {"answer": "no", "search": search}
         return settle(state, stage, label, CASE2, cond, cert, entry=cert)
 
     # D_n: confine the reservoir to one side of the n-th set
@@ -147,7 +143,6 @@ def run_coh(family: Sequence[SetPresentation], stages: int,
         }, state, lambda st, s: coh_step(st, family, config, s), stages)
     t.extraction = {
         "C": list(state.condition.F),
-        "final_reservoir": list(state.condition.reservoir),
         "decided": state.decided,
     }
     return t, tuple(state.condition.F)

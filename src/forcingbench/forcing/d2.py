@@ -84,7 +84,7 @@ def d2_step(state: State, d: Delta2Partition, stage: int,
 
     rec = force_step(
         state, stage, label, d.k, compat, witness,
-        {"F_at_decision": list(f_color), "pool_at_decision": list(pool)},
+        {"pool_at_decision": list(pool)},
         "no piece holds enough of the part; stalled")
     if rec.branch in (CASE1, CASE2):
         counters[color] += 1
@@ -144,6 +144,5 @@ def run_d2(d: Delta2Partition, stages: int, config: Optional[D2Config] = None):
         "B": list(b),
         "F_parts": [list(p) for p in state.condition.F_parts],
         "counters": counters,
-        "blocked": list(state.blocked),
     }
     return t, (color, b)

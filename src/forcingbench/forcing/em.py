@@ -239,8 +239,7 @@ class _EmRun:
             compat = halt_compat(e, cond.F, cond.window_bound, self.classes,
                                  self.admits, self.search)
             witness = self.halt_witness
-        return force_step(state, stage, label, self.k, compat, witness,
-                          {"F_at_decision": list(cond.F)},
+        return force_step(state, stage, label, self.k, compat, witness, {},
                           "no extendable piece; requirement stalled")
 
     def classes(self, members):
@@ -330,7 +329,6 @@ def run_em(c: Coloring, stages: int, config: Optional[EmConfig] = None):
     t.extraction = {
         "B": list(final.F),
         "fallow": "iv-fallow" in flags,
-        "blocked": list(state.blocked),
         "final_flags": list(flags),
     }
     return t, tuple(final.F)

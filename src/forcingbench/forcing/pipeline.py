@@ -37,6 +37,7 @@ def column_family(c: Coloring):
     fam = []
     for x in range(c.bound):
         row = (c.table[x] if c.table is not None
+               and 0 <= min(c.table[x], default=0)
                and max(c.table[x], default=0) < c.k
                else [c.value(x, y) for y in range(x + 1, c.bound)])
         bits = (0,) * (x + 1) + tuple(1 if v == 1 else 0 for v in row)

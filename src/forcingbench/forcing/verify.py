@@ -22,19 +22,24 @@ makes these passes, in this order of findings:
 
 - a kind no run writes is refuted, with or without the instance;
 - the record pass, before every other and for every kind, one pass over
-  the stages: a record is refuted there, once, and read by no later pass,
-  if its branch is not one its kind writes, its certificates are not a
-  mapping, its `stage` is not its position, or its condition is one it
-  cannot read into sets (not a mapping, or without the sets its kind
-  writes).  Each condition read must be valid (its committed set stays
-  below its reservoir) and extend the one before.  A condition `null`
-  (None) is the one before it: transcript format version 2 writes a
-  condition out only when it differs from the last one written.  A `null`
-  at the first record read repeats nothing and is refuted.  Every kind
-  but RT2 gets a certified finding for the chain.  The pass also keeps
-  the condition in effect before each record read, the last condition it
-  read: the start condition of the window before the first, and none
-  after a `null` first condition until it reads one;
+  the stages that reads each condition once, in the form format 3 writes
+  it (`null` for the one before it, a delta of it, or whole), and carries
+  the chain's sets forward.  A record is refuted there, once, and read by
+  no later pass, if its branch is not one its kind writes, its
+  certificates are not a mapping, its `stage` is not its position, or its
+  condition is one it cannot read: not a mapping, without its form's
+  fields, with a list that is not strictly increasing naturals below the
+  window, or a delta that breaks the extension (an added member outside
+  the reservoir before it or not above its committed set, a removed
+  member outside that reservoir).  After such a condition, and after a
+  `null` or delta first condition, which is refuted, the chain is unread
+  until a condition written whole.  A refused record's condition still
+  carries the chain.  Each condition read must be valid (its committed
+  set stays below its reservoir), and one written whole must extend the
+  one before.  Every kind but RT2 gets a certified finding for the chain.
+  The pass keeps the condition in effect before each Case-2 and
+  D-restriction record read, as sorted lists: the start condition of the
+  window before the first, and none while the chain is unread;
 - for RT2, the audits of its nested coh and D2 transcripts, each read by
   `Transcript.from_dict`; one it cannot read, or whose kind is not its
   slot's name, is one refuted finding.  When the nested D2 transcript is
@@ -67,18 +72,17 @@ makes these passes, in this order of findings:
   naturals below the window on which the program self-halts with the
   recorded steps, use and value (one it does not record is refuted); a
   decided requirement whose name `parse_label` cannot read is refuted.
-  Each Case-2 and coh D-restriction record was asked on sets of the
-  condition in effect before it, and restates them: `F_at_decision` its
-  committed set (D2's part of the record's color), and a Case-2
-  `reservoir_at_decision` its reservoir, inside which D2's
-  `pool_at_decision` lies; with the instance, that pool is the
-  reservoir's members in the part (`brute.d2_part`).  A wrong
-  restatement is refuted at its record, which gets no re-search and no
-  ledger entry.  Every other Case-2 decision is asked again on the
-  chain's sets (none after a `null` first condition, which leaves none in
-  effect): if they are lists of distinct naturals below the window and
-  its recorded subset width lies within the run's, it must survive a
-  wider witness search, and otherwise it is refuted;
+  Each Case-2 and coh D-restriction record was asked on the committed set
+  (D2's part of the record's color) and reservoir of the condition in
+  effect before it.  A D-restriction restates its `F_at_decision`
+  (criterion 5 reads it), and D2 its `pool_at_decision`, which lies
+  inside the reservoir and, with the instance, is the reservoir's members
+  in the part (`brute.d2_part`).  A wrong restatement is refuted at its
+  record, which gets no re-search and no ledger entry.  Every other
+  Case-2 decision is asked again on the chain's sets (none while the
+  chain is unread): if they are lists of distinct naturals below the
+  window and its recorded subset width lies within the run's, it must
+  survive a wider witness search, and otherwise it is refuted;
 - the jump ledger, over the decided R/N records the main pass hands it
   with their parsed names and replays: each positive's oracle is a prefix
   of the extracted set, and each negative stays divergent on it;
@@ -91,14 +95,15 @@ makes these passes, in this order of findings:
   condition read commits (coh's `C` and EM's `B` its committed set, none
   when no condition was read; D2's `F_parts` its parts, with `B` the
   selected one).  An extracted set that an earlier check refuted is not
-  compared again, so it is refuted once.
+  compared again, so it is refuted once, and an unread chain, refuted
+  already, is not compared.
 
 No set reaches a machine question unless it is a list of distinct
 naturals below the window, so a forged member costs no more fuel than an
 honest one.
 
-Each fact is computed once per call: a stage's condition sets once, in
-the record pass, which keeps only the last one's (a stage recording its
+Each fact is computed once per call: a stage's condition once, in the
+record pass, which keeps only the chain's sets (a stage recording its
 predecessor's condition reuses its verdicts), and a
 certificate's replay once, which the ledger reuses.  Facts about programs
 are kept per process (`machine.bounded_halt`'s run trees); nothing about
@@ -125,7 +130,6 @@ from ..transcript import (
     Transcript,
     TranscriptFormatError,
     coloring_digest,
-    committed_below,
     condition_sets,
     extends_sets,
     family_digest,
@@ -178,87 +182,140 @@ class AuditReport:
         return self.counts[REFUTED] == 0
 
 
-# the condition in effect after a null first condition, until one is read
+# the chain once the record pass cannot read it, until a whole condition
 _UNREAD = "unread"
 
 
+def _increasing(xs, window: int) -> bool:
+    """Whether `xs` is a strictly increasing list of naturals below
+    `window`, as every set a condition writes is."""
+    return (type(xs) is list and set(map(type, xs)) <= {int}
+            and (not xs or 0 <= xs[0] and xs[-1] < window)
+            and xs == sorted(set(xs)))
+
+
+def _read(c, chain, parts: bool):
+    """(the chain after a record's condition `c`, a first condition's
+    verdict, the extension order's).  A chain is (window bound, committed
+    parts as tuples, coh's and EM's one set one part, reservoir set), None
+    before any condition, or `_UNREAD`.  An unreadable `c` raises
+    ValueError with the note."""
+    if c is None:
+        if chain is None:
+            return _UNREAD, "first stage repeats no earlier condition", None
+        return chain, None, None
+    if not isinstance(c, dict):
+        raise ValueError("condition is malformed")
+    if "added" in c:
+        if chain is None:
+            return (_UNREAD, "first stage's condition is a delta of no "
+                    "earlier one", None)
+        if chain is _UNREAD:
+            return chain, None, None  # a delta of a condition not read
+        window, committed, reservoir = chain
+        adds, removed = c["added"] if parts else [c["added"]], c.get("removed")
+        if not (type(adds) is list and len(adds) == len(committed)
+                and all(_increasing(a, window) for a in (*adds, removed))):
+            raise ValueError("condition's delta is not increasing lists of "
+                             "naturals below the window")
+        if not all(not a or (not p or a[0] > p[-1]) and reservoir.issuperset(a)
+                   for a, p in zip(adds, committed)):
+            raise ValueError("added member is not in the reservoir before "
+                             "it, above its committed set")
+        if not reservoir.issuperset(removed):
+            raise ValueError("removed member is not in the reservoir before "
+                             "it")
+        return (window, tuple(p + tuple(a) for p, a in zip(committed, adds)),
+                reservoir.difference(removed, *adds)), None, None
+    try:
+        window, reservoir = c["window_bound"], c["reservoir"]
+        committed = c["F_parts"] if parts else [c["F"]]
+    except (KeyError, TypeError):
+        raise ValueError("condition is malformed") from None
+    if type(window) is not int or type(committed) is not list:
+        raise ValueError("condition is malformed")
+    if not all(_increasing(xs, window) for xs in (*committed, reservoir)):
+        raise ValueError("condition's sets are not increasing lists of "
+                         "naturals below its window bound")
+    read, notes = (window, tuple(map(tuple, committed)), set(reservoir)), []
+    if chain is None or chain is _UNREAD or extends_sets(
+            condition_sets(*read, parts), condition_sets(*chain, parts),
+            notes):
+        return read, None, None
+    return read, None, ("extension order violated: "
+                        + (notes[0] if notes else "clause check"))
+
+
 def _check_chain(t: Transcript, report: AuditReport):
-    """The record pass (see the module docstring): the records read, the
-    condition in effect before each (the last condition read: None for the
-    start condition, `_UNREAD` after a null first condition), and the last
-    condition read (None for none).  A condition is read into its sets
-    once; one that is None or repeats it keeps its verdicts, which follow
-    the refutations of unread records."""
+    """The record pass (see the module docstring): the records read; the
+    condition in effect before each Case-2 or D-restriction record (its
+    committed parts and, for Case 2, sorted reservoir; None for the start
+    condition, `_UNREAD` for an unread chain), else None; and the last
+    condition's committed parts (None for none, or `_UNREAD`)."""
     branches = _KINDS.get(t.kind if isinstance(t.kind, str) else None,
                           _NO_KIND).branches
     parts = t.kind == "d2"
     records, befores, verdicts = [], [], []
-    last = prev = valid = None
-    unread = False
+    chain, valid = None, True
     for s, rec in enumerate(t.stages):
-        fault = broken = None
-        before = _UNREAD if unread else last
+        fault = before = None
         if not (isinstance(rec.branch, str) and rec.branch in branches):
             fault = "branch is not one its kind writes"
         elif not isinstance(rec.certificates, dict):
             fault = "certificates are not a mapping"
         elif type(rec.stage) is not int or rec.stage != s:
             fault = "stage number is not its position"
-        elif rec.condition is not None and rec.condition != last:
-            try:
-                sets = condition_sets(rec.condition, parts)
-                # D2's union lies below the reservoir iff each part does
-                valid = committed_below(sets[1], sets[2])
-            except (KeyError, TypeError):
-                fault = "condition is malformed"
-            else:
-                notes = []
-                if prev is not None and not extends_sets(sets, prev, notes):
-                    broken = notes[0] if notes else "clause check"
-                last, prev, unread = rec.condition, sets, False
+        elif rec.branch in (CASE2, D_RESTRICTION):
+            before = (chain if chain is None or chain is _UNREAD else
+                      (chain[1], sorted(chain[2]) if rec.branch == CASE2
+                       else None))
+        try:  # a refused record's condition still carries the chain
+            new, first, broken = _read(rec.condition, chain, parts)
+        except ValueError as exc:
+            new, first, broken = _UNREAD, None, None
+            fault = fault or exc.args[0]
+        if new is not chain:
+            chain = new
+            valid = chain is _UNREAD or not chain[2] or max(
+                (p[-1] for p in chain[1] if p), default=-1) < min(chain[2])
         if fault is not None:
             report.add(REFUTED, fault, rec.stage, rec.requirement)
             continue
-        if not records and rec.condition is None:  # it repeats nothing
-            verdicts.append(("first stage repeats no earlier condition", rec))
-            unread = True
-        if valid is False:
-            verdicts.append(("committed set reaches into the reservoir", rec))
-        if broken is not None:
-            verdicts.append(("extension order violated: " + broken, rec))
+        for note in (first, None if valid else
+                     "committed set reaches into the reservoir", broken):
+            if note is not None:
+                verdicts.append((note, rec))
         records.append(rec)
         befores.append(before)
     for note, rec in verdicts:
         report.add(REFUTED, note, rec.stage, rec.requirement)
     if t.kind != "rt2":
         report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
-    return records, befores, last
+    return (records, befores,
+            chain if chain is None or chain is _UNREAD else chain[1])
 
 
 def _asked_sets(rec, color, before, window: int, parts: bool, part=None):
     """The sets a Case-2 or D-restriction record was asked on, read off
     `before`, the condition in effect before it (None: the start condition
-    of the window), as (committed set, pool); or what the record restates
-    wrongly of them.  `F_at_decision` restates the committed set, for D2
-    its part `color`, and a Case-2 `reservoir_at_decision` the reservoir,
-    which is the pool but for D2's: its `pool_at_decision` lies inside the
+    of the window), as (committed set, pool) lists; or why the record is
+    refuted.  The committed set is, for D2, the part `color`, and a
+    D-restriction restates it as `F_at_decision`.  The pool is the
+    reservoir, but for D2: its `pool_at_decision` lies inside the
     reservoir and, with the instance, is the reservoir's members in
     `part(color)`."""
     cert = rec.certificates
     if before is None:  # nothing committed, and the whole window reserved
         committed, reservoir = [], list(range(window))
     else:
-        try:
-            committed = before["F_parts"][color] if parts else before["F"]
-        except (IndexError, KeyError, TypeError):
-            return "restated committed set is no part of the condition's"
-        reservoir = before["reservoir"]
-    if cert.get("F_at_decision") != committed:
-        return "restated committed set is not the condition's before it"
+        held, reservoir = before
+        if parts and not (type(color) is int and 0 <= color < len(held)):
+            return "decision's colour names no part of the condition before it"
+        committed = list(held[color if parts else 0])
     if rec.branch == D_RESTRICTION:
+        if cert.get("F_at_decision") != committed:
+            return "restated committed set is not the condition's before it"
         return committed, None
-    if cert.get("reservoir_at_decision") != reservoir:
-        return "restated reservoir is not the condition's before it"
     if not parts:
         return committed, reservoir
     pool = cert.get("pool_at_decision")
@@ -284,16 +341,16 @@ def _tie_extraction(t: Transcript, last, b, report: AuditReport):
     check adds a finding only when it refutes."""
     if len(t.stages) != t.config.get("stages"):
         report.add(REFUTED, "record count differs from the run's stages")
-    if b is None:
+    if b is None or last is _UNREAD:
         return
     if t.kind == "d2":
         parts, color = t.extraction.get("F_parts"), t.extraction.get("color")
         if (last is None or not isinstance(parts, list)
-                or parts != last["F_parts"] or type(color) is not int
+                or parts != list(map(list, last)) or type(color) is not int
                 or not 0 <= color < len(parts) or b != parts[color]):
             report.add(REFUTED, "extracted parts are not the last "
                        "condition's committed parts")
-    elif b != (last["F"] if last is not None else []):
+    elif b != (list(last[0]) if last is not None else []):
         report.add(REFUTED,
                    "extracted set is not the last condition's committed set")
 
@@ -304,7 +361,7 @@ def _window(t: Transcript, records, report: AuditReport) -> int:
     transcript is refuted and the smaller is read.  One that is not an
     integer admits no member."""
     windows = [t.config.get("window")]
-    if records and records[0].condition is not None:
+    if records and "window_bound" in (records[0].condition or {}):
         windows.append(records[0].condition["window_bound"])
         if windows[0] != windows[1]:
             report.add(REFUTED, "window differs from the first stage's "

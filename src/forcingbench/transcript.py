@@ -4,7 +4,16 @@ This module imports nothing from `forcingbench`, so no construction code
 reaches the auditor through it.  A condition is a pair (finite committed
 set, reservoir): coh's and EM's commit one set `F`, D2's one per part
 (`F_parts`); a reservoir is a sorted tuple of members of the run's window
-[0, window_bound), and `I` numbers the reservoirs a run has installed.
+[0, window_bound).
+
+Format version 3 writes a run's first condition whole (`condition_dict`).
+Each later one extends the one before it, as in Mathias forcing: it
+commits reservoir members above every committed one and keeps a subset of
+the rest.  So it is written as its delta (`condition_delta`): `added`, the
+members it commits (for D2, one list per part), and `removed`, the other
+members it drops from the reservoir, each a strictly increasing list.  One
+equal to the one before is `null`, and one that does not extend it (with
+each committed set growing at its top only) is written whole.
 
 The same run must hash to the same digest on every machine, so the JSON
 form is fully canonical: sorted keys, no whitespace, plain integers.
@@ -44,7 +53,6 @@ def committed_below(committed, reservoir) -> bool:
 @dataclass(frozen=True)
 class CohCondition:
     F: Tuple[int, ...]
-    I: int  # number of reservoirs installed before this one in the run
     reservoir: Tuple[int, ...]  # sorted members inside the window
     window_bound: int
 
@@ -55,7 +63,6 @@ class CohCondition:
 @dataclass(frozen=True)
 class D2Condition:
     F_parts: Tuple[Tuple[int, ...], ...]
-    I: int
     reservoir: Tuple[int, ...]
     window_bound: int
 
@@ -83,16 +90,14 @@ def _read_label(label: str):
     return kind, int(index), None if color is None else int(color)
 
 
-def condition_sets(d: Dict, parts: bool):
-    """What the extension order compares of a condition in its transcript
-    form (`condition_dict`): its window bound, committed set, reservoir set
-    and, with `parts` (D2), each committed part's set, else None."""
-    if parts:
-        part_sets = tuple(set(p) for p in d["F_parts"])
-        committed = set().union(*part_sets)
-    else:
-        part_sets, committed = None, set(d["F"])
-    return d["window_bound"], committed, set(d["reservoir"]), part_sets
+def condition_sets(window_bound, parts, reservoir, d2: bool):
+    """What the extension order compares of a condition whose committed
+    sets are `parts` (coh's and EM's one set is one part): its window
+    bound, committed set, reservoir set and, for D2 (`d2`), each committed
+    part's set, else None."""
+    part_sets = tuple(map(set, parts))
+    return (window_bound, set().union(*part_sets), set(reservoir),
+            part_sets if d2 else None)
 
 
 def extends_sets(p, q, report: Optional[List[str]] = None) -> bool:
@@ -115,9 +120,11 @@ def extends(p, q, report: Optional[List[str]] = None) -> bool:
     """Extension order of conditions of one kind (see `extends_sets`)."""
     if type(p) is not type(q):
         raise TypeError("conditions of different kinds are incomparable")
-    parts = isinstance(p, D2Condition)
-    return extends_sets(condition_sets(condition_dict(p), parts),
-                        condition_sets(condition_dict(q), parts), report)
+    d2 = isinstance(p, D2Condition)
+    p, q = ((c.window_bound, c.F_parts if d2 else (c.F,), c.reservoir)
+            for c in (p, q))
+    return extends_sets(condition_sets(*p, d2), condition_sets(*q, d2),
+                        report)
 
 
 @dataclass
@@ -129,7 +136,7 @@ class StageRecord:
     certificates: Dict
 
 
-TRANSCRIPT_VERSION = 2
+TRANSCRIPT_VERSION = 3
 
 
 class TranscriptFormatError(ValueError):
@@ -139,9 +146,10 @@ class TranscriptFormatError(ValueError):
 
 @dataclass
 class Transcript:
-    """A run's record.  In memory every stage holds its condition; the
-    written form (`to_dict`, format version 2) holds `null` for a condition
-    equal to the last one written, and `from_dict` keeps that None."""
+    """A run's record.  Each stage holds its condition in the form format
+    version 3 writes it: whole, as its delta from the condition before, or
+    None for that condition unchanged.  The form is the same in memory and
+    written, so an audit of either reads the same records."""
 
     kind: str
     instance_hash: str
@@ -152,25 +160,18 @@ class Transcript:
     version: int = TRANSCRIPT_VERSION
 
     def to_dict(self) -> Dict:
-        stages, last = [], None
-        for s in self.stages:
-            d = {"stage": s.stage, "requirement": s.requirement,
-                 "branch": s.branch, "condition": s.condition,
-                 "certificates": s.certificates}
-            if s.condition is not None:
-                if s.condition == last:
-                    d["condition"] = None
-                last = s.condition
-            stages.append(d)
-        return {**vars(self), "stages": stages}
+        """The written form: the records as they are, each a new dict."""
+        return {**vars(self), "stages": [dict(vars(s)) for s in self.stages]}
 
     @staticmethod
     def from_dict(d) -> "Transcript":
         """The one reader of a written transcript's structure: an object
-        with every field, format version 2, `config` and `extraction`
+        with every field, format version 3, `config` and `extraction`
         objects, and `stages` a list of objects with every `StageRecord`
         field.  Anything else raises TranscriptFormatError; what the fields
-        hold is the auditor's to check."""
+        hold is the auditor's to check.  A condition is kept in the form
+        written (whole, delta or None): rebuilding every condition whole
+        here would cost what the shorter form saves in decoding."""
         if not isinstance(d, dict):
             raise TranscriptFormatError("top level must be an object")
         names = [f.name for f in fields(Transcript)]
@@ -182,7 +183,8 @@ class Transcript:
             raise TranscriptFormatError(
                 f"transcript format version {d['version']!r} is not read "
                 f"here, only version {TRANSCRIPT_VERSION}; "
-                "tools/transcript_v1_to_v2.py converts a version 1 transcript")
+                "tools/transcript_v2_to_v3.py converts a version 2 transcript "
+                "(tools/transcript_v1_to_v2.py a version 1 one to version 2)")
         for key in ("config", "extraction"):
             if not isinstance(d[key], dict):
                 raise TranscriptFormatError(f"{key} must be an object")
@@ -202,13 +204,33 @@ class Transcript:
 
 
 def condition_dict(cond) -> Dict:
-    d = {"I": cond.I, "reservoir": list(cond.reservoir),
-         "window_bound": cond.window_bound}
+    """A condition written whole."""
+    d = {"reservoir": list(cond.reservoir), "window_bound": cond.window_bound}
     if isinstance(cond, D2Condition):
         d["F_parts"] = [list(p) for p in cond.F_parts]
     else:
         d["F"] = list(cond.F)
     return d
+
+
+def condition_delta(prev, cond) -> Optional[Dict]:
+    """How `cond`, the condition after `prev` (None: no condition before
+    it), is written: see the module docstring."""
+    if prev is None:
+        return condition_dict(cond)
+    if cond == prev:
+        return None
+    d2 = isinstance(cond, D2Condition)
+    old, new = (prev.F_parts, cond.F_parts) if d2 else ((prev.F,), (cond.F,))
+    added = [p[len(o):] for o, p in zip(old, new)]
+    reservoir, kept, taken = (set(prev.reservoir), set(cond.reservoir),
+                              set().union(*added))
+    if (cond.window_bound != prev.window_bound or len(old) != len(new)
+            or not all(p[:len(o)] == o for o, p in zip(old, new))
+            or not kept | taken <= reservoir or not kept.isdisjoint(taken)):
+        return condition_dict(cond)
+    return {"added": [list(a) for a in added] if d2 else list(added[0]),
+            "removed": sorted(reservoir - kept - taken)}
 
 
 def canonical_json(obj) -> str:
@@ -228,17 +250,26 @@ def digest(payload) -> str:
 # the digest of its instance a run writes as `instance_hash`: of an
 # `approx.Coloring`, a `d2.Delta2Partition`, or a family of sets at a window
 def coloring_digest(c) -> str:
-    return digest({
+    return _kept(c, "coloring_digest", lambda: {
         "k": c.k, "table": [list(r) for r in c.table or ()],
         "bound": c.bound, "declared_bound": c.declared_bound,
     })
 
 
 def partition_digest(d) -> str:
-    return digest({
+    return _kept(d, "partition_digest", lambda: {
         "k": d.k, "table": [list(r) for r in d.table], "bound": d.bound,
         "promised_bound": d.promised_bound,
     })
+
+
+def _kept(instance, name: str, payload) -> str:
+    """The digest of `payload()`, kept on the frozen instance under `name`
+    once taken: it cannot go stale, and a new instance takes its own."""
+    kept = vars(instance)
+    if name not in kept:
+        kept[name] = digest(payload())
+    return kept[name]
 
 
 def family_digest(family, window: int) -> str:

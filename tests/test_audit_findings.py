@@ -6,7 +6,7 @@ findings list itself.  Each digest is sha256 of the canonical JSON of
 `report.findings`, for the twelve golden transcripts and for forged
 variants of some of them that reach the auditor's refutation paths.  Each
 forgery changes the transcript in memory, where every stage holds its
-condition, before it is written out and read back (`_forged`).
+condition whole, before it is written out and read back (`_forged`).
 """
 
 import copy
@@ -16,6 +16,7 @@ import pytest
 from forcingbench.forcing import verify_transcript
 from forcingbench.forcing.base import CASE1, Transcript, digest
 
+from conditions import whole, written
 from test_transcript_hashes import GOLDEN, _run
 from test_verify import _forged
 
@@ -92,15 +93,12 @@ def tampered_extraction(t):
 
 def nested_window_bound(t):
     # the nested transcript is kept written out: give every stage its
-    # condition, forge one, and write it out again
-    nested, last = t.extraction["d2"], None
-    for stage in nested["stages"]:
-        if stage["condition"] is None:
-            stage["condition"] = copy.deepcopy(last)
-        last = stage["condition"]
-    stages = nested["stages"]
-    stages[len(stages) // 2]["condition"]["window_bound"] += 1
-    t.extraction["d2"] = Transcript.from_dict(nested).to_dict()
+    # condition whole, forge one, and write the chain out again
+    stages = t.extraction["d2"]["stages"]
+    conditions = whole(stages)
+    conditions[len(stages) // 2]["window_bound"] += 1
+    for stage, c in zip(stages, written(conditions)):
+        stage["condition"] = c
 
 
 FORGED = {
@@ -131,7 +129,7 @@ DIGESTS = {
     "coh-grown-reservoir":
         "3374aae90c5ee4d54389f37ad472fd9a8930f44c8442e69c99eec7c72d266f40",
     "coh-repeated-invalid":
-        "dc1670ac15cc80c0992cc14333300c6255f2700caa545c62cd9337fb0cc84bd4",
+        "1c83d0f4f559b9fca7561f77a3c20532475457f2330aad894bd5dc00b15be132",
     "coh-tampered-extraction":
         "8eeb58795b40a1d881b427ac3ec96247423a375409e5cdd2dc6955fecdd2800d",
     "d2-0":
@@ -139,7 +137,7 @@ DIGESTS = {
     "d2-0-grown-reservoir":
         "a52476ec73b1d32f8beeb6ac97e3374da9b22cf67694fde979692d4c051d22d1",
     "d2-0-repeated-invalid":
-        "f42c2436b6b192f13d53560f999c7ccc42f3d69be8a78318f685a769ab2b924e",
+        "112ee715fc388d9bf9a3d33a4cecbdc62bb1903545716e118e43c2120ea727b9",
     "d2-0-swapped-parts":
         "c811c9d718a8b0b97bc915595a8928a9566e8e3cf566367603fbcbe0ae68dd77",
     "d2-1":
@@ -151,7 +149,7 @@ DIGESTS = {
     "em-0-forged-steps":
         "016a83a600ec654212233f16c9c3fb5b5f3ec187214df77a527fdd92485e0946",
     "em-0-repeated-invalid":
-        "05366dfa06ebd4da16e0934d82f8e7c3790014ff1851da13bd315650925d9318",
+        "1926385f7f2106c43fc9aab4c545b9b64607948be01f0948732fc6175016227d",
     "em-0-tampered-extraction":
         "24a60ecc2e894fd7df6833511257a28fbba8a53a9a68c4f456268730cefa7eb4",
     "em-0-window-bound":

@@ -182,7 +182,7 @@ def test_program_presented_rt2_audits_clean(program_rt2):
     c, h, t = program_rt2
     assert h == (0, 1, 5, 9, 13, 17, 21)
     assert transcript_hash(t) == (
-        "d6aa3df8ce0bbb6834d3f3265ddcb284e7a323638b334e1a37afc28a105eb700")
+        "381d27d2c979dd8e5bb2462bb34eef9354eebb8a02f7d1bb2a501d91bf35bb8b")
     report = verify_transcript(t, instance=c)
     assert report.counts == {"certified": 31, "provisional": 29,
                              "refuted": 0}

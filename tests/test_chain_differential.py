@@ -3,9 +3,15 @@
 The reference rebuilds every stage's condition as a `CohCondition` or
 `D2Condition`, asks `valid()` and `extends(cond, prev)` stage by stage.  On random mutations of honest coh,
 EM and D2 stage chains, both must give the same findings in the same order.
-The reference reads the chain in memory, where every stage holds its
-condition; the auditor reads it written out and read back, where a
-repeated condition is None.
+The chain is mutated whole, where every stage holds its condition, and
+written in format 3 again (`conditions.rewrite`), where a condition is its
+delta from the one before, None when repeated, and whole where it does not
+extend it.  The auditor reads the written form; the reference reads each
+stage's whole condition, and the written form only for its set rule: a
+written list (whole, or a delta's) that is not strictly increasing
+naturals below the window, or a delta that breaks the extension, is
+refuted once, before every verdict, and leaves the chain unread until a
+condition written whole.
 """
 
 import copy
@@ -28,33 +34,70 @@ from forcingbench.forcing.verify import (
 )
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
 
+from conditions import expand, rewrite
 from test_verify import _coh_run, _reload
 
 TRIALS = 40
 
 
 def _condition_from_dict(kind: str, d):
-    rest = (d["I"], tuple(d["reservoir"]), d["window_bound"])
+    rest = (tuple(d["reservoir"]), d["window_bound"])
     if kind == "d2":
         return D2Condition(tuple(tuple(p) for p in d["F_parts"]), *rest)
     return CohCondition(tuple(d["F"]), *rest)
 
 
-def _reference_chain(t: Transcript, report: AuditReport):
-    prev = None
-    for rec in t.stages:
-        cond = _condition_from_dict(t.kind, rec.condition)
-        if not cond.valid():
-            report.add(REFUTED, "committed set reaches into the reservoir",
-                       rec.stage, rec.requirement)
-        if prev is not None:
-            notes = []
-            if not extends(cond, prev, notes):
-                report.add(REFUTED,
-                           "extension order violated: " + (notes[0] if notes
-                                                           else "clause check"),
-                           rec.stage, rec.requirement)
-        prev = cond
+def _increasing(xs, window) -> bool:
+    return (all(type(x) is int and 0 <= x < window for x in xs)
+            and all(a < b for a, b in zip(xs, xs[1:])))
+
+
+def _unreadable(kind: str, written, prev) -> str:
+    """Why the reference cannot read a written condition, or ''."""
+    if "added" not in written:
+        lists = (written["F_parts"] if kind == "d2" else [written["F"]]
+                 ) + [written["reservoir"]]
+        if not all(_increasing(xs, written["window_bound"]) for xs in lists):
+            return ("condition's sets are not increasing lists of naturals "
+                    "below its window bound")
+        return ""
+    adds = written["added"] if kind == "d2" else [written["added"]]
+    parts = prev.F_parts if kind == "d2" else (prev.F,)
+    if not all(_increasing(xs, prev.window_bound)
+               for xs in adds + [written["removed"]]):
+        return ("condition's delta is not increasing lists of naturals "
+                "below the window")
+    if any(z not in prev.reservoir or any(z <= x for x in part)
+           for a, part in zip(adds, parts) for z in a):
+        return ("added member is not in the reservoir before it, above its "
+                "committed set")
+    if any(z not in prev.reservoir for z in written["removed"]):
+        return "removed member is not in the reservoir before it"
+    return ""
+
+
+def _reference_chain(t: Transcript, whole, report: AuditReport):
+    """`t` written in format 3, and `whole`, each stage's whole condition."""
+    prev, unread, verdicts = None, False, []
+    for rec, d in zip(t.stages, whole):
+        written, notes = rec.condition, []
+        if written is not None and not (unread and "added" in written):
+            fault = _unreadable(t.kind, written, prev)
+            if fault:
+                report.add(REFUTED, fault, rec.stage, rec.requirement)
+                unread = True
+                continue
+            cond = _condition_from_dict(t.kind, d)
+            if prev is not None and not unread and not extends(cond, prev,
+                                                               notes):
+                notes.append("clause check")
+            prev, unread = cond, False
+        if not unread and not prev.valid():
+            verdicts.append(("committed set reaches into the reservoir", rec))
+        if notes:
+            verdicts.append(("extension order violated: " + notes[0], rec))
+    for note, rec in verdicts:
+        report.add(REFUTED, note, rec.stage, rec.requirement)
     report.add(CERTIFIED, f"extension chain over {len(t.stages)} stages")
 
 
@@ -112,8 +155,9 @@ def honest(request):
 
 
 def test_honest_chain_matches_reference(honest):
-    want = AuditReport()
-    _reference_chain(honest, want)
+    want, whole = AuditReport(), copy.deepcopy(honest)
+    expand(whole)
+    _reference_chain(honest, [r.condition for r in whole.stages], want)
     for t in (honest, _reload(honest)):
         got = AuditReport()
         _check_chain(t, got)
@@ -125,11 +169,14 @@ def test_mutated_chains_match_reference(honest):
     refuting = 0
     for _ in range(TRIALS):
         t = copy.deepcopy(honest)
+        expand(t)
         for _ in range(rng.randint(1, 8)):
             _mutate(rng, t)
+        whole = [rec.condition for rec in t.stages]
+        rewrite(t)
         got, want = AuditReport(), AuditReport()
         _check_chain(_reload(t), got)
-        _reference_chain(t, want)
+        _reference_chain(t, whole, want)
         assert got.findings == want.findings
         refuting += want.counts[REFUTED] > 0
     assert refuting > TRIALS // 4  # the mutations reach the refutations

@@ -91,10 +91,10 @@ def test_coh_deterministic():
 def test_coh_chain_valid():
     t, _ = run_coh(_family(), 40, config=_cfg())
     from forcingbench.forcing.base import CohCondition, extends
+    from conditions import whole
     prev = None
-    for rec in t.stages:
-        d = rec.condition
-        cond = CohCondition(tuple(d["F"]), d["I"], tuple(d["reservoir"]),
+    for d in whole(t.stages):
+        cond = CohCondition(tuple(d["F"]), tuple(d["reservoir"]),
                             d["window_bound"])
         assert cond.valid()
         if prev is not None:

@@ -16,6 +16,7 @@ from forcingbench.forcing.em import valid_em_extension
 from forcingbench.harness import gen_stable_coloring
 from forcingbench.harness.transcripts import transcript_hash
 
+from conditions import whole
 from oracles import is_fallow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,10 +93,10 @@ def test_committed_sets_meet_the_precondition(seed):
     c = gen_stable_coloring(seed)
     limits = dict(enumerate(c.declared_limits))
     t, _ = run_em(c, 200)
-    for rec in t.stages:
-        F = rec.condition["F"]
-        assert is_fallow(c, F), f"stage {rec.stage}"
-        assert limit_consistent(c, F, limits), f"stage {rec.stage}"
+    for stage, cond in enumerate(whole(t.stages)):
+        F = cond["F"]
+        assert is_fallow(c, F), f"stage {stage}"
+        assert limit_consistent(c, F, limits), f"stage {stage}"
 
 
 def _fresh_em_hash(seed: int) -> str:

@@ -83,35 +83,35 @@ def test_find_halt_witness_matches_enumeration():
 
 
 def test_extends_coh():
-    q = CohCondition((0,), 0, (2, 3, 5, 8), 10)
-    p = CohCondition((0, 3), 0, (5, 8), 10)
+    q = CohCondition((0,), (2, 3, 5, 8), 10)
+    p = CohCondition((0, 3), (5, 8), 10)
     assert extends(p, q)
     assert extends(q, q)
     # growth outside the old reservoir is rejected
-    bad = CohCondition((0, 4), 0, (5, 8), 10)
+    bad = CohCondition((0, 4), (5, 8), 10)
     assert not extends(bad, q)
     # reservoir cannot grow
-    bad = CohCondition((0,), 0, (2, 3, 5, 8, 9), 10)
+    bad = CohCondition((0,), (2, 3, 5, 8, 9), 10)
     assert not extends(bad, q)
     notes = []
-    assert not extends(CohCondition((0,), 0, (2,), 12), q, notes)
+    assert not extends(CohCondition((0,), (2,), 12), q, notes)
     assert "incomparable" in notes[0]
 
 
 def test_extends_d2_part_identity():
-    q = D2Condition(((0,), ()), 0, (3, 4, 5), 8)
-    p = D2Condition(((0,), (3,)), 0, (4, 5), 8)
+    q = D2Condition(((0,), ()), (3, 4, 5), 8)
+    p = D2Condition(((0,), (3,)), (4, 5), 8)
     assert extends(p, q)
     # moving a committed element across parts is not an extension
-    swapped = D2Condition(((), (0, 3)), 0, (4, 5), 8)
+    swapped = D2Condition(((), (0, 3)), (4, 5), 8)
     assert not extends(swapped, q)
 
 
 def test_condition_validity():
-    assert CohCondition((1, 2), 0, (3, 4), 8).valid()
-    assert not CohCondition((5,), 0, (3,), 8).valid()
-    assert D2Condition(((1,), (2,)), 0, (3,), 8).valid()
-    assert not D2Condition(((1,), (4,)), 0, (3,), 8).valid()
+    assert CohCondition((1, 2), (3, 4), 8).valid()
+    assert not CohCondition((5,), (3,), 8).valid()
+    assert D2Condition(((1,), (2,)), (3,), 8).valid()
+    assert not D2Condition(((1,), (4,)), (3,), 8).valid()
 
 
 def test_fallow_check_reports_least_triple():

@@ -5,8 +5,8 @@ The re-search of a negative decision costs 2^(width + audit_fuel)
 questions, and its width was bounded by `config["subset_width"]`, which a
 transcript can forge: width 20 made one EM audit take seconds, about
 twice as long per unit of width.  The audit now refutes a run's width
-past `SUBSET_WIDTH` once and bounds every record's width by it; a record
-whose restated sets are not the chain's is refuted before any search.
+past `SUBSET_WIDTH` once and bounds every record's width by it, so a
+record whose width passes the run's is refuted before any search.
 EM's `fallow` claim and its `iv-fallow` flag are checked against the
 instance.
 """
@@ -23,6 +23,7 @@ from forcingbench.harness.instances import coloring_to_doc, dump_instance
 from forcingbench.harness.transcripts import emit_transcript
 from forcingbench.transcript import SUBSET_WIDTH, coloring_digest
 
+from conditions import expand, rewrite, whole
 from test_forged_oracles import d2_run, em_run  # noqa: F401  (fixtures)
 from test_verify import _reload
 
@@ -31,18 +32,35 @@ RECORD_WIDTH = ("negative decision's subset width is not an integer from 0 "
                 "to the run's")
 
 
-def _forged_width(t, stage: int, pool_key: str, width: int = 20):
+def _forged_width(t, stage: int, width: int = 20):
     """The width forgery: the run's and one negative's subset width set to
-    `width`, its committed set emptied and its pool the first 40 naturals,
-    so that a search of that width would find no witness for a long time."""
+    `width`, and its pool the first 40 naturals, so that a search of that
+    width would find no witness for a long time.  D2's record restates its
+    pool; EM's is the chain's reservoir, so every condition before the
+    record is forged to commit nothing and reserve that pool, which the
+    record's condition extends."""
     bad = _reload(t)
+    if t.kind == "em":
+        expand(bad)
+        for rec in bad.stages[:stage]:
+            rec.condition = {"F": [], "reservoir": list(range(40)),
+                             "window_bound": 40}
+        rewrite(bad)
+    else:
+        bad.stages[stage].certificates["pool_at_decision"] = list(range(40))
     bad.config["subset_width"] = width
-    cert = bad.stages[stage].certificates
-    cert["search"]["subset_width"] = width
-    cert["F_at_decision"] = []
-    cert["reservoir_at_decision"] = list(range(40))
-    cert[pool_key] = list(range(40))
+    bad.stages[stage].certificates["search"]["subset_width"] = width
     return bad
+
+
+def _pool(t, rec):
+    """The pool a Case-2 record was asked on: D2's restated one, else the
+    chain's reservoir before it."""
+    if "pool_at_decision" in rec.certificates:
+        return rec.certificates["pool_at_decision"]
+    if not rec.stage:  # the start condition's
+        return list(range(t.config["window"]))
+    return whole(t.stages)[rec.stage - 1]["reservoir"]
 
 
 def _refuted(report):
@@ -53,21 +71,23 @@ def _refuted(report):
 @pytest.mark.parametrize("kind", ("em", "d2"))
 def test_forged_run_width_refuted_quickly(em_run, d2_run, kind):
     if kind == "em":
-        (t, instance), stage, key = em_run, 59, "reservoir_at_decision"
+        (t, instance), stage = em_run, 59
     else:
-        (t, instance, _), stage, key = d2_run, 118, "pool_at_decision"
+        (t, instance, _), stage = d2_run, 118
     rec = t.stages[stage]
     assert rec.branch == "Case2" and rec.requirement.startswith("N_29")
-    bad = _forged_width(t, stage, key)
+    bad = _forged_width(t, stage)
     began = time.perf_counter()
     report = verify_transcript(bad, audit_fuel=2, instance=instance)
     assert time.perf_counter() - began < 1.0
     refuted = _refuted(report)
     assert refuted[0] == (None, None, RUN_WIDTH)
     assert [r for r in refuted if r[0] is None] == [refuted[0]]
-    # its emptied committed set is not the chain's: refuted unsearched
-    assert (stage, rec.requirement, "restated committed set is not the "
-            "condition's before it") in refuted
+    # its width passes the run's (D2: its pool is not the chain's):
+    # refuted unsearched
+    assert (stage, rec.requirement, RECORD_WIDTH if kind == "em" else
+            "negative decision's pool is not the reservoir's members in "
+            "its part") in refuted
 
 
 @pytest.mark.parametrize("kind", ("em", "d2"))
@@ -75,10 +95,9 @@ def test_forged_widths_on_an_honest_restatement_refuted_quickly(
         em_run, d2_run, kind):
     # the negative with the widest pool, its sets restated as the chain's
     t, instance = em_run if kind == "em" else d2_run[:2]
-    key = "reservoir_at_decision" if kind == "em" else "pool_at_decision"
     rec = max((r for r in t.stages if r.branch == "Case2"),
-              key=lambda r: len(r.certificates[key]))
-    assert len(rec.certificates[key]) > SUBSET_WIDTH  # wider than honest
+              key=lambda r: len(_pool(t, r)))
+    assert len(_pool(t, rec)) > SUBSET_WIDTH  # wider than honest
     bad = _reload(t)
     bad.config["subset_width"] = 20
     bad.stages[rec.stage].certificates["search"]["subset_width"] = 20
@@ -112,8 +131,7 @@ def test_honest_widths_refute_nothing(em_run, d2_run):
 
 def test_verify_exits_2_on_the_forged_width(em_run, tmp_path, capsys):
     t, c = em_run
-    path, _ = emit_transcript(_forged_width(t, 59, "reservoir_at_decision"),
-                              str(tmp_path / "t.json"))
+    path, _ = emit_transcript(_forged_width(t, 59), str(tmp_path / "t.json"))
     inst = tmp_path / "c.yaml"
     inst.write_text(dump_instance(coloring_to_doc(c)))
     began = time.perf_counter()

@@ -24,6 +24,7 @@ from forcingbench.harness import (
     gen_d2_partition,
     gen_stable_coloring,
 )
+from forcingbench.transcript import parse_label
 
 from test_verify import _reload
 
@@ -140,18 +141,37 @@ def fuels(monkeypatch):
     return seen
 
 
+def _forged_source(t: Transcript, i: int, key: str, forged):
+    """(a copy of `t` whose set that `key` names, of the condition in effect
+    before record i, is `forged` where that condition is written, whole, or
+    missing when `forged` is None; that record).  `F_at_decision` names
+    the committed set (D2: the part of record i's colour), and
+    `reservoir_at_decision` the reservoir."""
+    bad = _reload(t)
+    j = max(j for j in range(i) if t.stages[j].condition is not None)
+    cond = bad.stages[j].condition
+    assert "window_bound" in cond  # written whole
+    if key == "reservoir_at_decision":
+        key = "reservoir"
+    elif t.kind == "d2":
+        key, cond = parse_label(t.stages[i].requirement)[2], cond["F_parts"]
+    else:
+        key = "F"
+    if forged is None:
+        del cond[key]
+    else:
+        cond[key] = forged
+    return bad, bad.stages[j]
+
+
 @pytest.mark.parametrize("forged", FORGED_SETS, ids=repr)
 @pytest.mark.parametrize("key", ("F_at_decision", "reservoir_at_decision"))
 def test_em_forged_negative_certificate_refuted(em_run, fuels, key, forged):
+    # the sets the negative is asked on, forged where the chain writes them
     t, c = em_run
-    i = _first_negative(t)
-    bad = _reload(t)
-    if forged is None:
-        del bad.stages[i].certificates[key]
-    else:
-        bad.stages[i].certificates[key] = forged
+    bad, source = _forged_source(t, _first_negative(t), key, forged)
     report = verify_transcript(bad, audit_fuel=2, instance=c)
-    assert _refuted_at(report, t.stages[i])
+    assert _refuted_at(report, source)
     assert fuels[0] <= t.config["window"]
 
 
@@ -160,10 +180,13 @@ def test_em_forged_negative_certificate_refuted(em_run, fuels, key, forged):
 def test_d2_forged_negative_certificate_refuted(d2_run, fuels, key, forged):
     t, d, _ = d2_run
     i = _first_negative(t)
-    bad = _reload(t)
-    bad.stages[i].certificates[key] = forged
+    if key == "pool_at_decision":  # the one set a Case-2 record restates
+        bad, rec = _reload(t), t.stages[i]
+        bad.stages[i].certificates[key] = forged
+    else:
+        bad, rec = _forged_source(t, i, key, forged)
     report = verify_transcript(bad, audit_fuel=2, instance=d)
-    assert _refuted_at(report, t.stages[i])
+    assert _refuted_at(report, rec)
     assert fuels[0] <= t.config["window"]
 
 

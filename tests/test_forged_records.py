@@ -18,6 +18,7 @@ import pytest
 from forcingbench.forcing import base, verify_transcript
 from forcingbench.forcing.base import Transcript
 
+from conditions import expand, rewrite
 from test_forged_oracles import (  # noqa: F401  (fixtures)
     _first_negative,
     _positives,
@@ -68,14 +69,20 @@ def test_d2_unreadable_color_refuted(d2_run):
 
 
 def _forged_search(t: Transcript, search, pool=None) -> Transcript:
+    """A copy of `t` whose first negative records `search`, asked on a pool
+    widened by `pool`: D2's restated pool, or EM's reservoir before the
+    record, widened at its source, the condition of the stage before it."""
+    i = _first_negative(t)
     bad = _reload(t)
-    cert = bad.stages[_first_negative(t)].certificates
+    if pool is not None and t.kind == "em":
+        expand(bad)
+        before = bad.stages[i - 1].condition
+        before["reservoir"] = sorted(set(before["reservoir"]) | set(pool))
+        rewrite(bad)
+    cert = bad.stages[i].certificates
     cert["search"] = search
-    if pool is not None:
-        cert["F_at_decision"] = []
-        key = ("pool_at_decision" if "pool_at_decision" in cert
-               else "reservoir_at_decision")
-        cert[key] = pool
+    if pool is not None and t.kind == "d2":
+        cert["pool_at_decision"] = pool
     return bad
 
 

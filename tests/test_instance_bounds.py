@@ -21,6 +21,7 @@ from forcingbench.harness import emit_transcript, gen_coloring
 from forcingbench.harness.cli import main
 from forcingbench.transcript import Transcript
 
+from conditions import expand, rewrite
 from test_forged_oracles import d2_run, em_run  # noqa: F401  (fixtures)
 from test_verify import _reload
 
@@ -31,13 +32,13 @@ def _widened(t, window, member, key="B", part=None):
     last condition's committed set (part `part`, for D2)."""
     bad = _reload(t)
     bad.config["window"] = window
-    last = None
+    expand(bad)
     for rec in bad.stages:
-        if rec.condition is not None:
-            rec.condition["window_bound"] = window
-            last = rec.condition
-    if last is not None:
+        rec.condition["window_bound"] = window
+    if bad.stages:
+        last = bad.stages[-1].condition
         (last["F"] if part is None else last["F_parts"][part]).append(member)
+    rewrite(bad)
     if part is not None:
         bad.extraction["F_parts"][part].append(member)
     else:

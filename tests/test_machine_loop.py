@@ -217,7 +217,7 @@ def _random_d2(rng, window):
     parts = tuple(tuple(sorted(rng.sample(range(window), rng.randrange(4))))
                   for _ in range(2))
     reservoir = tuple(sorted(rng.sample(range(window), rng.randrange(window))))
-    return D2Condition(parts, rng.randrange(3), reservoir, window)
+    return D2Condition(parts, reservoir, window)
 
 
 def test_extends_d2_against_plain_sets():
@@ -239,7 +239,7 @@ def test_extends_d2_against_plain_sets():
             reservoir = [z for z in q.reservoir if rng.random() < 0.7]
             if rng.random() < 0.2:
                 reservoir.append(rng.randrange(12))
-            p = D2Condition(tuple(tuple(sorted(part)) for part in parts), q.I + 1,
+            p = D2Condition(tuple(tuple(sorted(part)) for part in parts),
                             tuple(sorted(set(reservoir))), window)
         else:
             p = _random_d2(rng, window)

@@ -104,8 +104,9 @@ def test_d2_condition_without_parts_refuted(d2_run):
     t, d, _ = d2_run
     bad = _reload(t)
     i = _written_condition(bad)
+    # a delta's committed parts are its `added` lists
     cond = {k: v for k, v in bad.stages[i].condition.items()
-            if k != "F_parts"}
+            if k not in ("F_parts", "added")}
     bad.stages[i] = dataclasses.replace(bad.stages[i], condition=cond)
     assert _refuted(verify_transcript(bad, audit_fuel=2, instance=d),
                     bad.stages[i])

@@ -14,6 +14,8 @@ from forcingbench.omega_model import (
     select_side,
 )
 
+from conditions import whole
+
 
 def _bits(members, bound):
     return tuple(1 if x in set(members) else 0 for x in range(bound))
@@ -38,12 +40,16 @@ def test_select_part_keeps_a_piece_of_the_window():
 
 
 def _case2_certificates(t):
-    return [r.certificates for r in t.stages
+    """(certificate, reservoir before it) of each Case-2 record with a
+    selection: the reservoir is the chain's, its source."""
+    before = [range(t.config["window"])] + [c["reservoir"]
+                                            for c in whole(t.stages)]
+    return [(r.certificates, before[r.stage]) for r in t.stages
             if r.branch == CASE2 and "selection" in r.certificates]
 
 
-def _assert_counts_inside_reservoir(cert):
-    rest = set(cert["reservoir_at_decision"])
+def _assert_counts_inside_reservoir(cert, reservoir):
+    rest = set(reservoir)
     first = cert["selection"][0]
     assert first["count_intersect"] + first["count_complement"] == len(rest)
     for sel, piece in zip(cert["selection"], cert["partition"]):
@@ -61,5 +67,5 @@ def test_case2_selection_counts_only_reservoir_members():
     nested_certs = [c for d in nested
                     for c in _case2_certificates(Transcript.from_dict(d))]
     assert certs and nested_certs
-    for cert in certs + nested_certs:
-        _assert_counts_inside_reservoir(cert)
+    for cert, reservoir in certs + nested_certs:
+        _assert_counts_inside_reservoir(cert, reservoir)

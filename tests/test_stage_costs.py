@@ -10,8 +10,8 @@ runs every candidate finds.  EM's
 E+ predicate answers False for a piece with fewer than `need` members
 before it builds class pools, and `halt_compat` searches each distinct
 pool once per stage; both must answer as the predicates without those
-shortcuts do.  `State.blocked` is an insertion-ordered dict, so the
-extraction's `blocked` list must keep the order the stages blocked.
+shortcuts do.  `State.blocked` is an insertion-ordered dict, so it must
+keep the order the stages blocked.
 
 The auditor used to certify EM seed 0's transcript with all but its first
 five stages deleted (4/2/0), with every stage deleted (2/0/0) and with
@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from forcingbench.forcing import em, run_d2, run_em, verify_transcript
+from forcingbench.forcing import d2, em, run_d2, run_em, verify_transcript
 from forcingbench.forcing.base import (
     ABORT,
     HaltWitness,
@@ -36,6 +36,7 @@ from forcingbench.forcing.base import (
     halt_search,
     queries_oracle,
     query_free_status,
+    run_stages,
 )
 from forcingbench.machine import HALTED
 from forcingbench.harness import gen_d2_partition, gen_stable_coloring
@@ -51,6 +52,7 @@ from forcingbench.omega_model import (
     window_mask,
 )
 
+from conditions import whole
 from test_verify import _coh_run
 
 
@@ -154,8 +156,8 @@ def em_stages():
     for seed in (0, 3, 6):
         c = gen_stable_coloring(seed)
         t, _ = run_em(c, 200)
-        conds = {(tuple(r.condition["F"]), tuple(r.condition["reservoir"]))
-                 for r in t.stages}
+        conds = {(tuple(c["F"]), tuple(c["reservoir"]))
+                 for c in whole(t.stages)}
         out.append((c, t.config["window"], sorted(conds)))
     return out
 
@@ -293,12 +295,21 @@ def test_witness_search_matches_the_plain_search():
 
 # -- blocked order --------------------------------------------------------
 
-def test_blocked_keeps_the_order_of_the_stages():
+def test_blocked_keeps_the_order_of_the_stages(monkeypatch):
+    # the run's own `State.blocked`, which the stages fill as they abort
+    states = []
+
+    def recorded(kind, instance_hash, config, state, step, stages):
+        states.append(state)
+        return run_stages(kind, instance_hash, config, state, step, stages)
+
+    for module in (em, d2):
+        monkeypatch.setattr(module, "run_stages", recorded)
     for t in (run_em(gen_stable_coloring(0), 200)[0],
               run_d2(gen_d2_partition(0), 300)[0]):
         aborted = [r.requirement for r in t.stages if r.branch == ABORT]
         assert len(aborted) > 3
-        assert t.extraction["blocked"] == aborted
+        assert list(states.pop(0).blocked) == aborted
 
 
 # -- the extraction tied to the stages ------------------------------------

@@ -36,8 +36,8 @@ def test_d2_counters_count_decisions_per_color(seed):
 
 
 def test_extends_rejects_conditions_of_different_kinds():
-    d2 = D2Condition(((0,), ()), 0, (3, 4, 5), 8)
-    coh = CohCondition((0,), 0, (3, 4, 5), 8)
+    d2 = D2Condition(((0,), ()), (3, 4, 5), 8)
+    coh = CohCondition((0,), (3, 4, 5), 8)
     with pytest.raises(TypeError):
         extends(d2, coh)
     with pytest.raises(TypeError):

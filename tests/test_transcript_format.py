@@ -1,11 +1,13 @@
-"""Transcript format version 2.
+"""Transcript format versions 2 and 3.
 
 A written transcript leaves out what it already says: a stage's condition
 equal to the last one written is `null`, EM and D2 extractions keep no
 `decided` copy of their certificates, and search records name no fuel
-scale.  The version 1 fixtures under `fixtures/v1/` were written by the
-last version 1 code for the criterion-5 coh family and for `rt2-0`; the
-converter in `tools/` must map each to what the constructions write now.
+scale (version 2); a condition after the first is its delta from the one
+before (version 3).  The version 1 fixtures under `fixtures/v1/` were
+written by the last version 1 code for the criterion-5 coh family and for
+`rt2-0`; the converters in `tools/`, one after the other, must map each to
+what the constructions write now.
 """
 
 import json
@@ -28,6 +30,9 @@ V1 = Path(__file__).with_name("fixtures") / "v1"
 sys.path.insert(0, str(ROOT / "tools"))
 
 import transcript_v1_to_v2  # noqa: E402
+import transcript_v2_to_v3  # noqa: E402
+
+from conditions import whole  # noqa: E402
 
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN))
@@ -40,7 +45,8 @@ def test_converted_v1_fixture_equals_current_output(name):
     v1 = json.loads((V1 / f"{name}.json").read_bytes())
     assert v1["version"] == 1
     t, _ = _run(name)
-    assert (transcript_v1_to_v2.canonical(transcript_v1_to_v2.convert(v1))
+    v3 = transcript_v2_to_v3.convert(transcript_v1_to_v2.convert(v1))
+    assert (transcript_v2_to_v3.canonical(v3)
             == canonical_json(t.to_dict()).encode("ascii"))
 
 
@@ -53,7 +59,7 @@ def test_converter_refuses_version_2():
 def test_round_trip_of_the_written_form(golden):
     _, t, _ = golden
     d = json.loads(canonical_json(t.to_dict()))
-    assert d["version"] == 2
+    assert d["version"] == 3
     assert Transcript.from_dict(d).to_dict() == d
 
 
@@ -63,9 +69,12 @@ def test_written_form_omits_repeats(golden):
     docs = ([d["extraction"]["coh"], d["extraction"]["d2"]]
             if d["kind"] == "rt2" else [d])
     for doc in docs:
-        written = [s["condition"] for s in doc["stages"]
+        conditions = whole(doc["stages"])
+        written = [c for s, c in zip(doc["stages"], conditions)
                    if s["condition"] is not None]
-        assert doc["stages"][0]["condition"] is not None
+        assert "window_bound" in doc["stages"][0]["condition"]
+        assert all("added" in s["condition"] for s in doc["stages"][1:]
+                   if s["condition"] is not None)
         assert all(a != b for a, b in zip(written, written[1:]))
         assert "fuel_scale" not in canonical_json(doc)
         assert ("decided" in doc["extraction"]) == (doc["kind"] == "coh")
@@ -103,9 +112,12 @@ def test_cli_verify_exits_2_on_version_1(capsys):
 
 
 def test_converted_fixture_verifies(tmp_path, capsys):
-    out = tmp_path / "rt2-0.json"
+    v2, out = tmp_path / "rt2-0-v2.json", tmp_path / "rt2-0.json"
     assert transcript_v1_to_v2.main([str(V1 / "rt2-0.json"),
-                                     "--out", str(out)]) == 0
+                                     "--out", str(v2)]) == 0
+    assert main(["verify", str(v2)]) == 2
+    assert "tools/transcript_v2_to_v3.py" in capsys.readouterr().err
+    assert transcript_v2_to_v3.main([str(v2), "--out", str(out)]) == 0
     inst = tmp_path / "p.yaml"
     assert main(["gen", "coloring", "--seed", "0", "--out", str(inst)]) == 0
     assert main(["verify", str(out), "--instance", str(inst)]) in (0, 1)

@@ -27,29 +27,29 @@ from forcingbench.harness import (
 
 # name: (transcript hash, (certified, provisional, refuted))
 GOLDEN = {
-    "coh": ("4559c751914519d5e6bc1104b8d65a699c60f5c080754e61acf7736bb974a104",
+    "coh": ("7dfaed794ad61a32626fd24d295c5cd249459d42498c9060b2f1125375c93c48",
             (29, 26, 0)),
-    "em-0": ("72949a17cc26984581f7a5ad6d21e811b8eeee41d753850826e29253e9f41170",
+    "em-0": ("281e47280ff775c1167746f1c670ee01c0dab392bd956bb2d8cbebc3760eaee4",
              (106, 185, 0)),
-    "em-1": ("a11eccfa0fcafc0b9158b56807451f21093a9cee8763c9d5dea2abc28dc0ab0f",
+    "em-1": ("5e53acbfff6d864ac79e8fe2d8fadff7aae3c3d5d241f44207a9a1088b52d0c6",
              (106, 166, 0)),
-    "em-2": ("95a1b5d12b1e39d26bb4e113180aaa3d48237c630eb56e15177c31fc67e95547",
+    "em-2": ("09734d3e1761ec3a7decb92af48e3795da46f1e5d4a80bf57b77b811ee220426",
              (106, 170, 0)),
-    "d2-0": ("99fcd54b3d8207d7e00cf5bf9238a685917d13ce2353e04f6455a16f852c7ba1",
+    "d2-0": ("5b5fd87d5916444a8e1750c6baae795f676f7e119d9501df1c44c43ebff35ae3",
              (126, 102, 0)),
-    "d2-1": ("f3998e4e8a947a6282e914f64eb39b34fc4bbc56f8a6a936945fc23451e9c067",
+    "d2-1": ("94d3c0bf9774021901f975fc5cc924451e7b6ee8f16b21707caf2c139819491e",
              (126, 102, 0)),
-    "d2-2": ("46095f15e3102f804eefed39263f31376d69bb00493f2a11e8f350fd7dde6169",
+    "d2-2": ("3aa4b38402db60346911b48560f01e71dac9271d15eba01628232f20a8266e03",
              (126, 102, 0)),
-    "rt2-0": ("256ae0a96240a5ec35af669308f3b3b09abf1d2d1bd1fd48cfaf4e4cecbb1a4a",
+    "rt2-0": ("f280990fc3f4d0c084ea4e004b50de33d5bec988915035ed9f3e7b39226033a2",
               (41, 39, 0)),
-    "rt2-1": ("5f10f0ff674b1f4d465d6b92f2720acc5e361b9d8cd6d62a0d330bbfb3222645",
+    "rt2-1": ("11a44235b6aa979e69364513a0cec7d028b99f250f13629bfd078ba04458c05f",
               (43, 35, 0)),
-    "rt2-2": ("5764df439a0c02ea273d0cf066eaebee733db7dc050e90cb7c4b016f4078b298",
+    "rt2-2": ("2b94c013b5875cd7cb082313ab982bcebeb1e5aff5d4d60036d2ae9c959eef43",
               (43, 41, 0)),
-    "rt2-3": ("d5f0e0ad98893038a108f8579fbe72f2879eeee6c8382f9f15af7f9abaec1256",
+    "rt2-3": ("f9ef0c9aae1b3bc5f1c26b076e26bce290d33c872d5699b6de7fd66cc09c4cf8",
               (45, 37, 0)),
-    "rt2-4": ("f29e1e6fe7a9d62cbbaee436efaf69b1b97ca21fe20b412c4f6bd99d9aa7e356",
+    "rt2-4": ("85099e4ea64ad62b5b6956eb0fcbae98658180f4dd27a8c8400c7b4ebeac8451",
               (43, 39, 0)),
 }
 

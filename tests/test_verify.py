@@ -8,6 +8,8 @@ from forcingbench.forcing.base import CASE1, Transcript
 from forcingbench.forcing.coh import CohConfig
 from forcingbench.harness import gen_stable_coloring
 
+from conditions import expand, rewrite
+
 
 def _coh_run():
     family = [
@@ -22,12 +24,15 @@ def _reload(t: Transcript) -> Transcript:
 
 
 def _forged(t: Transcript, forge) -> Transcript:
-    """`forge` applied to a copy of the transcript in memory, where every
-    stage holds its condition, then written out and read back: a forged
-    condition means what it says, and the auditor reads the written form,
-    in which a repeated condition is None."""
+    """`forge` applied to a copy of the transcript in which every stage
+    holds its condition whole, then written in format 3 again and read
+    back: a forged condition means what it says, and the auditor reads the
+    written form, in which a condition is its delta from the one before,
+    None when repeated, and whole when it does not extend it."""
     bad = copy.deepcopy(t)
+    expand(bad)
     forge(bad)
+    rewrite(bad)
     return _reload(bad)
 
 
